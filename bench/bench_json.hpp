@@ -9,7 +9,7 @@
 ///   {
 ///     "benchmark": "<suite name>",
 ///     "schema_version": 1,
-///     "meta": {"<key>": "<string>", ...},        // optional
+///     "meta": {"<key>": "<string>", ..., "hardware_threads": "<n>"},
 ///     "entries": [
 ///       {"name": "...", "seconds": s, "items_per_second": r,
 ///        "metrics": {"<key>": v, ...}},
@@ -21,10 +21,12 @@
 /// `items_per_second` the work rate at that time, and `metrics` a
 /// free-form numeric bag (speedups, counts, sizes). `meta` holds
 /// string-valued run provenance (e.g. the SIMD ISA the binary was
-/// compiled for); tools/bench_compare.py refuses to compare timing
-/// suites whose `simd_isa` values differ.
+/// compiled for); every suite's meta also records the host's
+/// `hardware_threads`. tools/bench_compare.py refuses to compare timing
+/// suites whose `simd_isa` or `hardware_threads` values differ.
 #pragma once
 
+#include "util/env.hpp"
 #include "util/string_util.hpp"
 
 #include <cstdio>
@@ -73,23 +75,24 @@ json_number(double value)
 inline void
 write_bench_json(const std::string& path, const std::string& suite,
                  const std::vector<BenchEntry>& entries,
-                 const std::vector<std::pair<std::string, std::string>>&
-                     meta = {})
+                 std::vector<std::pair<std::string, std::string>> meta = {})
 {
+    // A 1-thread baseline against a 4-thread run is a host change, not
+    // a speedup, so every suite says which host class it timed.
+    meta.emplace_back("hardware_threads",
+                      std::to_string(util::host_info().hardware_threads));
     std::ofstream out(path);
     out << "{\n  \"benchmark\": \"" << suite << "\",\n"
-        << "  \"schema_version\": 1,\n";
-    if (!meta.empty()) {
-        out << "  \"meta\": {";
-        for (std::size_t m = 0; m < meta.size(); ++m) {
-            out << "\"" << util::json_escape(meta[m].first) << "\": \""
-                << util::json_escape(meta[m].second) << "\"";
-            if (m + 1 < meta.size()) {
-                out << ", ";
-            }
+        << "  \"schema_version\": 1,\n"
+        << "  \"meta\": {";
+    for (std::size_t m = 0; m < meta.size(); ++m) {
+        out << "\"" << util::json_escape(meta[m].first) << "\": \""
+            << util::json_escape(meta[m].second) << "\"";
+        if (m + 1 < meta.size()) {
+            out << ", ";
         }
-        out << "},\n";
     }
+    out << "},\n";
     out << "  \"entries\": [\n";
     for (std::size_t i = 0; i < entries.size(); ++i) {
         const BenchEntry& entry = entries[i];

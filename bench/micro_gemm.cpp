@@ -2,11 +2,21 @@
 /// Micro-benchmarks of the GEMM substrate at the paper's classifier
 /// shapes (tiny, skinny matrices — the shapes SVIII-A says vendor
 /// libraries mishandle) and at VGG-like shapes for contrast, plus the
-/// blocked-vs-naive ablation.
+/// blocked-vs-naive ablation and one link-predictor training step on
+/// the layered path and on the fused kernel.
+///
+/// GEMMs of at least kParallelFlopThreshold flops run on the thread
+/// pool, so those cases report wall time (UseRealTime): rates from the
+/// main thread's CPU time alone would overstate them.
 #include "nn/gemm.hpp"
+#include "nn/link_kernel.hpp"
+#include "nn/loss.hpp"
+#include "nn/optim.hpp"
 #include "rng/random.hpp"
 
 #include <benchmark/benchmark.h>
+
+#include <optional>
 
 namespace {
 
@@ -43,6 +53,7 @@ BENCHMARK(BM_MatmulSquare)
     ->Arg(64)
     ->Arg(256)
     ->Arg(512)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 void
@@ -86,6 +97,7 @@ BENCHMARK(BM_ClassifierForwardShape)
     ->Arg(64)
     ->Arg(256)
     ->Arg(4096)
+    ->UseRealTime()
     ->Unit(benchmark::kMicrosecond);
 
 /// VGG-like fat shape for the per-instruction-efficiency contrast the
@@ -105,7 +117,7 @@ BM_VggLikeShape(benchmark::State& state)
         static_cast<std::int64_t>(2ll * 64 * 2048 * 1024));
 }
 
-BENCHMARK(BM_VggLikeShape)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_VggLikeShape)->UseRealTime()->Unit(benchmark::kMillisecond);
 
 void
 BM_GradientShapes(benchmark::State& state)
@@ -121,5 +133,54 @@ BM_GradientShapes(benchmark::State& state)
 }
 
 BENCHMARK(BM_GradientShapes)->Unit(benchmark::kMicrosecond);
+
+/// One SGD mini-batch of the paper's link predictor (batch 256, 16 ->
+/// 16 -> 1, momentum 0.9) over shuffled rows of a dataset larger than
+/// L2, as in training: the layered nn::Mlp path or the fused kernel.
+void
+BM_LinkPredictorStep(benchmark::State& state, bool fused)
+{
+    constexpr std::size_t kRows = 1 << 16;
+    nn::TaskDataset data;
+    data.features = random_tensor(kRows, 16, 9);
+    rng::Random random(10);
+    for (std::size_t i = 0; i < kRows; ++i) {
+        data.binary_labels.push_back(random.next_index(2) ? 1.0f : 0.0f);
+    }
+    nn::Mlp net = nn::make_link_predictor(16, 16, random);
+    std::optional<nn::LinkKernel> kernel;
+    if (fused) {
+        kernel.emplace(net);
+    }
+    nn::Sgd optimizer(kernel ? kernel->parameters() : net.parameters(),
+                      0.05f, 0.9f);
+    nn::DataLoader loader(data, 256, true, 11);
+    nn::Tensor features;
+    std::vector<float> binary;
+    std::vector<std::uint32_t> classes;
+    std::size_t b = 0;
+    for (auto _ : state) {
+        double loss = 0.0;
+        if (kernel) {
+            loss = kernel->train_step(data, loader.indices(b));
+        } else {
+            loader.batch(b, features, binary, classes);
+            const nn::LossResult result =
+                nn::binary_cross_entropy(net.forward(features), binary);
+            optimizer.zero_grad();
+            net.backward(result.grad);
+            loss = result.loss;
+        }
+        optimizer.step();
+        benchmark::DoNotOptimize(loss);
+        b = (b + 1) % loader.num_batches();
+    }
+    state.SetItemsProcessed(state.iterations() * 256);
+}
+
+BENCHMARK_CAPTURE(BM_LinkPredictorStep, layered, false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_LinkPredictorStep, kernel, true)
+    ->Unit(benchmark::kMicrosecond);
 
 } // namespace

@@ -1,5 +1,6 @@
 #include "core/link_prediction.hpp"
 
+#include "nn/link_kernel.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optim.hpp"
@@ -12,6 +13,8 @@
 #include "util/timer.hpp"
 
 #include <cmath>
+#include <functional>
+#include <optional>
 
 namespace tgl::core {
 
@@ -61,6 +64,17 @@ run_link_prediction(const LinkSplits& splits,
                     const ClassifierConfig& config,
                     ClassifierCheckpoint* checkpoint)
 {
+    // An edge list too short for the split fractions leaves a split
+    // empty: training would average a loss over zero rows (NaN) and the
+    // test metrics would describe zero rows.
+    if (const char* empty = splits.train.empty()  ? "train"
+                            : splits.test.empty() ? "test"
+                                                  : nullptr) {
+        util::fatal(util::strcat(
+            "link prediction: the ", empty,
+            " split is empty — too few edges for the split fractions"));
+    }
+
     TaskResult result;
     rng::Random random(config.seed);
 
@@ -82,8 +96,6 @@ run_link_prediction(const LinkSplits& splits,
                                                random)
             : nn::make_link_predictor(2 * embedding.dim(),
                                       config.hidden_dim, random);
-    nn::Sgd optimizer(net.parameters(), config.lr, config.momentum,
-                      config.weight_decay);
     nn::DataLoader loader(train_set, config.batch_size, true,
                           config.seed ^ 0x11);
 
@@ -93,6 +105,44 @@ run_link_prediction(const LinkSplits& splits,
             checkpoint->name, checkpoint->fingerprint, net);
     if (checkpoint != nullptr) {
         checkpoint->loaded = restored;
+    }
+
+    // Pick the training step and the forward once, from the
+    // architecture. The plain predictor runs on the fused kernel, which
+    // is bit-identical to the layered path (DESIGN.md §16); the residual
+    // one has no kernel and stays on nn::Mlp.
+    std::optional<nn::LinkKernel> kernel;
+    if (!config.residual) {
+        kernel.emplace(net);
+    }
+    nn::Sgd optimizer(kernel ? kernel->parameters() : net.parameters(),
+                      config.lr, config.momentum, config.weight_decay);
+    std::function<double(std::size_t)> train_batch;
+    std::function<const nn::Tensor&(const nn::Tensor&)> predict;
+    nn::Tensor batch_features;
+    std::vector<float> batch_binary;
+    std::vector<std::uint32_t> batch_classes;
+    nn::Tensor probabilities;
+    if (kernel) {
+        train_batch = [&](std::size_t b) {
+            return kernel->train_step(train_set, loader.indices(b));
+        };
+        predict = [&](const nn::Tensor& features) -> const nn::Tensor& {
+            kernel->predict(features, probabilities);
+            return probabilities;
+        };
+    } else {
+        train_batch = [&](std::size_t b) {
+            loader.batch(b, batch_features, batch_binary, batch_classes);
+            const nn::LossResult loss = nn::binary_cross_entropy(
+                net.forward(batch_features), batch_binary);
+            optimizer.zero_grad();
+            net.backward(loss.grad);
+            return loss.loss;
+        };
+        predict = [&](const nn::Tensor& features) -> const nn::Tensor& {
+            return net.forward(features);
+        };
     }
 
     const obs::Span span("classifier.link_prediction");
@@ -111,9 +161,6 @@ run_link_prediction(const LinkSplits& splits,
     // The MLP runs on the calling thread, so a plain per-thread scope
     // captures the whole training loop.
     obs::PerfScope train_perf("train");
-    nn::Tensor batch_features;
-    std::vector<float> batch_binary;
-    std::vector<std::uint32_t> batch_classes;
 
     for (unsigned epoch = 0; !restored && epoch < config.max_epochs;
          ++epoch) {
@@ -123,20 +170,15 @@ run_link_prediction(const LinkSplits& splits,
         double epoch_loss = 0.0;
         for (std::size_t b = 0; b < loader.num_batches(); ++b) {
             util::Timer batch_timer;
-            loader.batch(b, batch_features, batch_binary, batch_classes);
-            const nn::Tensor& output = net.forward(batch_features);
-            const nn::LossResult loss =
-                nn::binary_cross_entropy(output, batch_binary);
-            if (!std::isfinite(loss.loss)) {
+            const double loss = train_batch(b);
+            if (!std::isfinite(loss)) {
                 util::fatal(util::strcat(
                     "link prediction: non-finite training loss at epoch ",
                     epoch + 1, ", batch ", b + 1,
                     " — the classifier diverged (lower lr or check the "
                     "input features)"));
             }
-            epoch_loss += loss.loss;
-            optimizer.zero_grad();
-            net.backward(loss.grad);
+            epoch_loss += loss;
             optimizer.step();
             batches_counter.inc();
             batch_hist.observe(batch_timer.seconds());
@@ -151,10 +193,8 @@ run_link_prediction(const LinkSplits& splits,
         // Validation-accuracy early stop (the artifact's target
         // accuracy knob).
         if (config.target_valid_accuracy < 1.0 && !splits.valid.empty()) {
-            const nn::Tensor& valid_out =
-                net.forward(valid_set.features);
-            result.valid_accuracy =
-                binary_accuracy(valid_out, valid_set.binary_labels);
+            result.valid_accuracy = binary_accuracy(
+                predict(valid_set.features), valid_set.binary_labels);
             if (result.valid_accuracy >= config.target_valid_accuracy) {
                 break;
             }
@@ -174,15 +214,17 @@ run_link_prediction(const LinkSplits& splits,
 
     if (!restored && checkpoint != nullptr &&
         checkpoint->manager != nullptr) {
+        if (kernel) {
+            kernel->store(net);
+        }
         checkpoint->manager->store_classifier(
             checkpoint->name, checkpoint->fingerprint, net);
         checkpoint->stored = true;
     }
 
     if (!splits.valid.empty()) {
-        const nn::Tensor& valid_out = net.forward(valid_set.features);
-        result.valid_accuracy =
-            binary_accuracy(valid_out, valid_set.binary_labels);
+        result.valid_accuracy = binary_accuracy(
+            predict(valid_set.features), valid_set.binary_labels);
     }
 
     registry.gauge("classifier.valid_accuracy")
@@ -190,7 +232,7 @@ run_link_prediction(const LinkSplits& splits,
 
     util::Timer test_timer;
     const obs::Span test_span("pipeline.test", "test");
-    const nn::Tensor& test_out = net.forward(test_set.features);
+    const nn::Tensor& test_out = predict(test_set.features);
     result.test_accuracy =
         binary_accuracy(test_out, test_set.binary_labels);
     result.test_auc = roc_auc(test_out, test_set.binary_labels);

@@ -2,6 +2,7 @@
 
 #include "util/error.hpp"
 
+#include <algorithm>
 #include <numeric>
 
 namespace tgl::nn {
@@ -32,23 +33,29 @@ DataLoader::start_epoch()
     }
 }
 
-void
-DataLoader::batch(std::size_t b, Tensor& features,
-                  std::vector<float>& binary_labels,
-                  std::vector<std::uint32_t>& class_labels) const
+std::span<const std::uint32_t>
+DataLoader::indices(std::size_t b) const
 {
     const std::size_t begin = b * batch_size_;
     TGL_ASSERT(begin < dataset_.size());
     const std::size_t end =
         std::min(dataset_.size(), begin + batch_size_);
-    const std::size_t rows = end - begin;
+    return {order_.data() + begin, end - begin};
+}
+
+void
+DataLoader::batch(std::size_t b, Tensor& features,
+                  std::vector<float>& binary_labels,
+                  std::vector<std::uint32_t>& class_labels) const
+{
+    const std::span<const std::uint32_t> examples = indices(b);
     const std::size_t dim = dataset_.features.cols();
 
-    features.resize(rows, dim);
+    features.resize(examples.size(), dim);
     binary_labels.clear();
     class_labels.clear();
-    for (std::size_t i = 0; i < rows; ++i) {
-        const std::uint32_t example = order_[begin + i];
+    for (std::size_t i = 0; i < examples.size(); ++i) {
+        const std::uint32_t example = examples[i];
         const auto src = dataset_.features.row(example);
         auto dst = features.row(i);
         for (std::size_t c = 0; c < dim; ++c) {

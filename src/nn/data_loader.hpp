@@ -11,6 +11,7 @@
 #include "rng/random.hpp"
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace tgl::nn {
@@ -40,6 +41,10 @@ class DataLoader
 
     /// Reshuffle for a new epoch.
     void start_epoch();
+
+    /// Dataset rows of batch b in this epoch's order (the rows batch()
+    /// gathers). Valid until the next start_epoch().
+    std::span<const std::uint32_t> indices(std::size_t b) const;
 
     /// Materialize batch b: gathers features and the matching labels.
     void batch(std::size_t b, Tensor& features,

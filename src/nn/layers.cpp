@@ -107,7 +107,7 @@ Sigmoid::forward(const Tensor& input)
     output_ = input;
     for (std::size_t r = 0; r < output_.rows(); ++r) {
         for (float& v : output_.row(r)) {
-            v = 1.0f / (1.0f + std::exp(-v));
+            v = sigmoid(v);
         }
     }
     return output_;

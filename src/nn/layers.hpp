@@ -12,6 +12,7 @@
 #include "nn/tensor.hpp"
 #include "rng/random.hpp"
 
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,6 +84,14 @@ class ReLU : public Layer
     Tensor output_;
     Tensor grad_input_;
 };
+
+/// The logistic function exactly as Sigmoid evaluates it (shared with
+/// the fused link-predictor kernel, nn/link_kernel.hpp).
+inline float
+sigmoid(float v)
+{
+    return 1.0f / (1.0f + std::exp(-v));
+}
 
 /// Elementwise logistic sigmoid (the link-prediction output layer).
 class Sigmoid : public Layer

@@ -1,8 +1,5 @@
 #include "nn/loss.hpp"
 
-#include <algorithm>
-#include <cmath>
-
 namespace tgl::nn {
 
 LossResult
@@ -17,19 +14,11 @@ binary_cross_entropy(const Tensor& probabilities,
     LossResult result;
     result.grad.resize(batch, 1);
     const float inv_batch = 1.0f / static_cast<float>(batch);
-    constexpr float kEps = 1e-7f;
 
     double total = 0.0;
     for (std::size_t i = 0; i < batch; ++i) {
-        const float p =
-            std::clamp(probabilities(i, 0), kEps, 1.0f - kEps);
-        const float y = targets[i];
-        total -= static_cast<double>(y) *
-                     std::log(static_cast<double>(p)) +
-                 (1.0 - static_cast<double>(y)) *
-                     std::log(1.0 - static_cast<double>(p));
-        // d/dp of -[y log p + (1-y) log(1-p)], averaged over the batch.
-        result.grad(i, 0) = (p - y) / (p * (1.0f - p)) * inv_batch;
+        result.grad(i, 0) =
+            bce_row(probabilities(i, 0), targets[i], inv_batch, total);
     }
     result.loss = total / static_cast<double>(batch);
     return result;

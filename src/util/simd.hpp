@@ -1,6 +1,6 @@
 /// @file
-/// Portable SIMD shim for the batched walker engine (f64) and the SGNS
-/// kernel layer (f32).
+/// Portable SIMD shim for the batched walker engine (f64), the SGNS
+/// kernel layer and the link-predictor kernel (f32).
 ///
 /// Exactly one backend is selected at compile time:
 ///
@@ -31,10 +31,11 @@
 ///     only flow into vselect / vand / vany.
 ///
 /// The f32 half (VFloat, f-prefixed operations) serves the SGNS kernels
-/// in embed/kernels.cpp: dot/axpy over embedding rows plus a sigmoid
-/// LUT gather. Its gather (fgather) takes *unmasked* integer-valued
-/// float indices — the caller clamps them into the table first — and
-/// its ordering-sensitive operations pin down NaN behavior:
+/// in embed/kernels.cpp (dot/axpy over embedding rows plus a sigmoid
+/// LUT gather) and the link-predictor kernel in nn/link_kernel.cpp
+/// (lanes over hidden units). Its gather (fgather) takes *unmasked*
+/// integer-valued float indices — the caller clamps them into the table
+/// first — and its ordering-sensitive operations pin down NaN behavior:
 ///
 ///   - fmax(a, b) returns b when a is NaN on AVX2/scalar (the vmaxps
 ///     second-operand rule); NEON propagates the NaN instead, which is
@@ -43,9 +44,12 @@
 ///   - fnlt(a, b) is the *unordered* !(a < b): true when a is NaN.
 ///     The sigmoid kernel uses it to saturate NaN scores to 1 exactly
 ///     like the scalar SigmoidTable does.
+///   - fgt(a, b) is the *ordered* a > b: false when a is NaN. The
+///     link-predictor ReLU selects with it, so NaN and -0 map to +0 on
+///     every backend exactly like the scalar `v > 0 ? v : 0`.
 ///
 /// The shim is deliberately tiny: just the operations the lockstep
-/// searches in walk/batch.cpp and the SGNS kernels need, nothing
+/// searches in walk/batch.cpp and the two f32 kernels need, nothing
 /// speculative.
 #pragma once
 
@@ -146,6 +150,11 @@ inline VFloat fmax(VFloat a, VFloat b) { return _mm256_max_ps(a, b); }
 inline VFBool fle(VFloat a, VFloat b)
 {
     return _mm256_cmp_ps(a, b, _CMP_LE_OQ);
+}
+/// Ordered a > b: false when either operand is NaN.
+inline VFBool fgt(VFloat a, VFloat b)
+{
+    return _mm256_cmp_ps(a, b, _CMP_GT_OQ);
 }
 /// Unordered !(a < b): true when a >= b or either operand is NaN.
 inline VFBool fnlt(VFloat a, VFloat b)
@@ -249,6 +258,8 @@ inline VFloat fmul(VFloat a, VFloat b) { return vmulq_f32(a, b); }
 inline VFloat fmin(VFloat a, VFloat b) { return vminq_f32(a, b); }
 inline VFloat fmax(VFloat a, VFloat b) { return vmaxq_f32(a, b); }
 inline VFBool fle(VFloat a, VFloat b) { return vcleq_f32(a, b); }
+/// Ordered a > b: false when either operand is NaN.
+inline VFBool fgt(VFloat a, VFloat b) { return vcgtq_f32(a, b); }
 /// Unordered !(a < b): true when a >= b or either operand is NaN.
 inline VFBool fnlt(VFloat a, VFloat b)
 {
@@ -526,6 +537,16 @@ fle(VFloat a, VFloat b)
     VFBool m;
     for (std::size_t i = 0; i < kF32Lanes; ++i) {
         m.lane[i] = a.lane[i] <= b.lane[i];
+    }
+    return m;
+}
+/// Ordered a > b: false when either operand is NaN.
+inline VFBool
+fgt(VFloat a, VFloat b)
+{
+    VFBool m;
+    for (std::size_t i = 0; i < kF32Lanes; ++i) {
+        m.lane[i] = a.lane[i] > b.lane[i];
     }
     return m;
 }

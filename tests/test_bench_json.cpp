@@ -9,7 +9,8 @@
 /// `simd_isa` key in an early draft, which made tools/bench_compare.py
 /// treat cross-ISA baselines as comparable. BenchReport::set_meta()
 /// may now run before, between, or after add() calls and must always
-/// land in the meta block.
+/// land in the meta block, next to the `hardware_threads` key every
+/// suite records.
 #include "bench/bench_json.hpp"
 
 #include <gtest/gtest.h>
@@ -32,6 +33,14 @@ slurp(const std::string& path)
     std::stringstream buffer;
     buffer << in.rdbuf();
     return buffer.str();
+}
+
+/// The meta pair every suite carries on this host.
+std::string
+hardware_threads_meta()
+{
+    return "\"hardware_threads\": \"" +
+           std::to_string(util::host_info().hardware_threads) + "\"";
 }
 
 class TempJson
@@ -57,7 +66,8 @@ TEST(BenchJson, MetaSetAfterEntriesStillEmitted)
     report.write(file.path());
 
     const std::string json = slurp(file.path());
-    EXPECT_NE(json.find("\"meta\": {\"simd_isa\": \"avx2\"}"),
+    EXPECT_NE(json.find("\"meta\": {\"simd_isa\": \"avx2\", " +
+                        hardware_threads_meta() + "}"),
               std::string::npos)
         << json;
     // Meta precedes entries regardless of call order.
@@ -111,13 +121,18 @@ TEST(BenchJson, PositionalAggregateInitKeepsGateDefaults)
     EXPECT_FALSE(entry.higher_is_better);
 }
 
-TEST(BenchJson, NoMetaOmitsBlock)
+TEST(BenchJson, NoMetaStillRecordsHardwareThreads)
 {
+    // tools/bench_compare.py refuses to compare suites timed on hosts
+    // with different thread counts, so even a suite without provenance
+    // of its own records one.
     TempJson file;
     bench::BenchReport report("suite");
     report.add({"x", 1.0, 0.0, {}});
     report.write(file.path());
-    EXPECT_EQ(slurp(file.path()).find("\"meta\""), std::string::npos);
+    EXPECT_NE(slurp(file.path())
+                  .find("\"meta\": {" + hardware_threads_meta() + "}"),
+              std::string::npos);
 }
 
 TEST(BenchJson, DegenerateNumbersClampToZero)

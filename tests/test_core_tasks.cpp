@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace tgl::core {
 namespace {
 
@@ -90,6 +92,42 @@ TEST(LinkPrediction, EarlyStopOnTargetAccuracy)
         run_link_prediction(splits, fe.embedding, config);
     EXPECT_LT(result.epochs_run, 100u);
     EXPECT_GE(result.valid_accuracy, 0.55);
+}
+
+/// The message run_link_prediction fails with on the first @p count
+/// edges of a chain, or "" when it trains.
+std::string
+tiny_edge_list_error(unsigned count)
+{
+    graph::EdgeList edges;
+    for (unsigned i = 0; i < count; ++i) {
+        edges.add(i, i + 1, static_cast<double>(i));
+    }
+    const graph::TemporalGraph graph =
+        graph::GraphBuilder::build(edges, {.symmetrize = true});
+    const LinkSplits splits =
+        prepare_link_splits(edges, graph, SplitConfig{});
+    embed::Embedding embedding(graph.num_nodes(), 4);
+    try {
+        run_link_prediction(splits, embedding, fast_classifier());
+    } catch (const util::Error& error) {
+        return error.what();
+    }
+    return "";
+}
+
+TEST(LinkPrediction, OneEdgeListFailsOnTheEmptyTrainSplit)
+{
+    // floor(0.6 * 1) = 0 train rows: the epoch loss would be 0/0.
+    EXPECT_NE(tiny_edge_list_error(1).find("train split is empty"),
+              std::string::npos);
+}
+
+TEST(LinkPrediction, FourEdgeListFailsOnTheEmptyTestSplit)
+{
+    // floor(0.2 * 4) = 0 test rows: AUC 0.5 over nothing.
+    EXPECT_NE(tiny_edge_list_error(4).find("test split is empty"),
+              std::string::npos);
 }
 
 TEST(NodeClassification, RecoversCommunityLabels)

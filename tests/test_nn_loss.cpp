@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 namespace tgl::nn {
 namespace {
@@ -29,6 +31,31 @@ TEST(Bce, UncertainPredictionIsLogTwo)
     const Tensor probs(1, 1, {0.5f});
     const LossResult result = binary_cross_entropy(probs, {1.0f});
     EXPECT_NEAR(result.loss, std::log(2.0), 1e-5);
+}
+
+TEST(Bce, BinaryLabelsMatchTwoTermFormBitForBit)
+{
+    // bce_row takes one log for 0/1 labels; the sum must equal the
+    // two-term y log p + (1 - y) log(1 - p) exactly, clamped extremes
+    // included, or the fused link-predictor kernel and the layered path
+    // would drift from every historical loss.
+    std::vector<float> probabilities = {0.0f, 1e-8f, 1e-7f, 0.5f,
+                                        1.0f - 1e-7f, 1.0f};
+    for (int i = 1; i < 10000; ++i) {
+        probabilities.push_back(static_cast<float>(i) / 10000.0f);
+    }
+    for (const float p : probabilities) {
+        for (const float y : {0.0f, 1.0f}) {
+            double total = 0.25;
+            bce_row(p, y, 1.0f, total);
+            const double c = std::clamp(p, 1e-7f, 1.0f - 1e-7f);
+            const double label = y;
+            const double expected =
+                0.25 - (label * std::log(c) +
+                        (1.0 - label) * std::log(1.0 - c));
+            EXPECT_EQ(total, expected) << "p " << p << " y " << y;
+        }
+    }
 }
 
 TEST(Bce, GradientMatchesFiniteDifference)

@@ -27,6 +27,11 @@ the suite is skipped with a warning instead of gated: a 2x "regression"
 that is really an ISA change must not page anyone, and a scalar
 baseline must not mask a real AVX2 regression.
 
+meta["hardware_threads"] gets the same treatment when both sides
+record it: a 1-thread baseline against a 4-thread run is a host change,
+not a speedup.  A side that predates the key is still compared, with a
+one-line warning, so baselines recorded before it keep gating.
+
 Usage:
     python3 tools/bench_compare.py \
         --baseline-dir bench/baselines --current-dir build
@@ -192,14 +197,36 @@ def compare_dirs(
                 f"{current_path}: missing — the bench run did not produce "
                 f"this suite"
             )
-        base_isa = load_meta(baseline_path).get("simd_isa")
-        cur_isa = load_meta(current_path).get("simd_isa")
+        base_meta = load_meta(baseline_path)
+        cur_meta = load_meta(current_path)
+        base_isa = base_meta.get("simd_isa")
+        cur_isa = cur_meta.get("simd_isa")
         if base_isa != cur_isa:
             print(
                 f"WARN  {baseline_path.name}: simd_isa mismatch "
                 f"(baseline {base_isa or 'unrecorded'}, current "
                 f"{cur_isa or 'unrecorded'}) — timings from different "
                 f"vector backends are not comparable; suite skipped",
+                file=out,
+            )
+            continue
+        base_threads = base_meta.get("hardware_threads")
+        cur_threads = cur_meta.get("hardware_threads")
+        if base_threads is None or cur_threads is None:
+            if base_threads != cur_threads:
+                print(
+                    f"WARN  {baseline_path.name}: hardware_threads "
+                    f"unrecorded on one side (baseline "
+                    f"{base_threads or 'unrecorded'}, current "
+                    f"{cur_threads or 'unrecorded'}) — compared anyway",
+                    file=out,
+                )
+        elif base_threads != cur_threads:
+            print(
+                f"WARN  {baseline_path.name}: hardware_threads mismatch "
+                f"(baseline {base_threads}, current {cur_threads}) — "
+                f"timings from different host classes are not "
+                f"comparable; suite skipped",
                 file=out,
             )
             continue

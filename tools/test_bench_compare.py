@@ -228,6 +228,50 @@ class BenchCompareTest(unittest.TestCase):
         self.assertFalse(ok)
         self.assertIn("FAIL", out.getvalue())
 
+    def compare_meta(self, base_meta, cur_meta, factor):
+        write_suite(
+            self.baseline_dir / "BENCH_walk.json", self.baseline,
+            meta=base_meta,
+        )
+        write_suite(
+            self.current_dir / "BENCH_walk.json",
+            {name: s * factor for name, s in self.baseline.items()},
+            meta=cur_meta,
+        )
+        out = io.StringIO()
+        ok = bench_compare.compare_dirs(
+            self.baseline_dir, self.current_dir,
+            fail_threshold=0.15, warn_threshold=0.05, out=out,
+        )
+        return ok, out.getvalue()
+
+    def test_hardware_threads_mismatch_warns_and_skips_the_suite(self):
+        # A 1-thread baseline against a 4-thread run: a 2x "slowdown"
+        # (or speedup) is a host change — warn, skip, stay green.
+        ok, out = self.compare_meta(
+            {"hardware_threads": "1"}, {"hardware_threads": "4"}, 2.0
+        )
+        self.assertTrue(ok)
+        self.assertIn("hardware_threads mismatch", out)
+        self.assertNotIn("FAIL", out)
+
+    def test_baseline_predating_hardware_threads_still_gates(self):
+        # The committed baselines predate the key: they keep gating,
+        # with a one-line warning.
+        ok, out = self.compare_meta(None, {"hardware_threads": "4"}, 1.30)
+        self.assertFalse(ok)
+        self.assertIn("FAIL", out)
+        self.assertIn("hardware_threads unrecorded on one side", out)
+        self.assertEqual(out.count("hardware_threads"), 1)
+
+    def test_matching_hardware_threads_still_gates(self):
+        ok, out = self.compare_meta(
+            {"hardware_threads": "4"}, {"hardware_threads": "4"}, 1.30
+        )
+        self.assertFalse(ok)
+        self.assertIn("FAIL", out)
+        self.assertNotIn("hardware_threads", out)
+
     def test_malformed_meta_is_a_schema_error(self):
         write_suite(
             self.current_dir / "BENCH_walk.json", dict(self.baseline)
