@@ -3,12 +3,13 @@
 /// and vectorization knobs, dimension sweep. Items = training pairs.
 ///
 /// After the google-benchmark suite, two comparison harnesses run:
-/// the trainer comparison (Hogwild vs batched plus the negative-table
+/// the trainer comparison (Hogwild vs batched, Hogwild at d = 8 on one
+/// thread and on every hardware thread, and the negative-table
 /// samplers, best-of-3, BENCH_w2v.json) and the kernel-backend A/B
-/// (scalar vs simd single-pair update loop, cache-hot, per dim
-/// 8/32/128, BENCH_w2v_kernels.json with a `simd_isa` meta key so the
-/// regression gate skips cross-ISA comparisons) — see bench_json.hpp
-/// for the schema.
+/// (scalar vs simd update_pair through sgns_update_pair, cache-hot,
+/// per dim 8/32/128, BENCH_w2v_kernels.json with a `simd_isa` meta key
+/// so the regression gate skips cross-ISA comparisons) — see
+/// bench_json.hpp for the schema.
 #include "bench_json.hpp"
 #include "tgl/tgl.hpp"
 #include "util/timer.hpp"
@@ -39,13 +40,31 @@ shared_corpus()
 }
 
 graph::NodeId
-corpus_nodes()
+corpus_nodes(const walk::Corpus& corpus = shared_corpus())
 {
     graph::NodeId max_node = 0;
-    for (graph::NodeId node : shared_corpus().tokens()) {
+    for (graph::NodeId node : corpus.tokens()) {
         max_node = std::max(max_node, node);
     }
     return max_node + 1;
+}
+
+/// The pipeline's walk configuration on a larger stand-in than
+/// shared_corpus(). On the small corpus, sharing of hot model rows
+/// alone keeps 4 threads slower than 1, which would hide a worker
+/// cache line shared by mistake.
+const walk::Corpus&
+scaling_corpus()
+{
+    static const walk::Corpus corpus = [] {
+        const auto dataset = gen::make_dataset("ia-email", 0.1, 9);
+        const auto graph = graph::GraphBuilder::build(
+            dataset.edges, {.symmetrize = true});
+        walk::WalkConfig config;
+        config.seed = 21;
+        return walk::generate_walks(graph, config);
+    }();
+    return corpus;
 }
 
 void
@@ -222,6 +241,28 @@ run_trainer_comparison()
         },
         &hogwild_pairs);
 
+    // Hogwild scaling at the paper's d = 8: one thread against every
+    // hardware thread. A cache line shared between workers shows up
+    // here as a speedup drop.
+    const walk::Corpus& scaling_walks = scaling_corpus();
+    const graph::NodeId scaling_nodes = corpus_nodes(scaling_walks);
+    embed::SgnsConfig scaling;
+    scaling.epochs = 4;
+    const unsigned max_threads = util::host_info().hardware_threads;
+    double scaling_s[2] = {};
+    std::uint64_t scaling_pairs[2] = {};
+    for (int row = 0; row < 2; ++row) {
+        scaling.num_threads = row == 0 ? 1 : max_threads;
+        scaling_s[row] = time_trainer(
+            [&](embed::TrainStats& stats) {
+                return embed::train_sgns(scaling_walks, scaling_nodes,
+                                         scaling, &stats);
+            },
+            &scaling_pairs[row]);
+    }
+    const double scaling_speedup =
+        scaling_s[1] > 0.0 ? scaling_s[0] / scaling_s[1] : 0.0;
+
     embed::BatchedSgnsConfig batched;
     batched.sgns = hogwild;
     batched.batch_size = 16384;
@@ -262,6 +303,23 @@ run_trainer_comparison()
          {{"pairs", static_cast<double>(hogwild_pairs)},
           {"dim", static_cast<double>(hogwild.dim)},
           {"epochs", static_cast<double>(hogwild.epochs)}}});
+    for (int row = 0; row < 2; ++row) {
+        const double threads = row == 0 ? 1.0 : max_threads;
+        bench::BenchEntry entry{
+            row == 0 ? "w2v/hogwild_d8/threads1"
+                     : "w2v/hogwild_d8/threads_max",
+            scaling_s[row],
+            scaling_s[row] > 0.0 ? scaling_pairs[row] / scaling_s[row]
+                                 : 0.0,
+            {{"pairs", static_cast<double>(scaling_pairs[row])},
+             {"dim", static_cast<double>(scaling.dim)},
+             {"epochs", static_cast<double>(scaling.epochs)},
+             {"threads", threads}}};
+        if (row == 1) {
+            entry.metrics.push_back({"speedup_vs_1t", scaling_speedup});
+        }
+        entries.push_back(entry);
+    }
     entries.push_back(
         {"w2v/batched", batched_s,
          batched_s > 0.0 ? batched_pairs / batched_s : 0.0,
@@ -279,6 +337,9 @@ run_trainer_comparison()
     std::printf("hogwild %8.4fs | batched %8.4fs | neg alias %8.4fs | "
                 "neg array %8.4fs\n",
                 hogwild_s, batched_s, alias_s, array_s);
+    std::printf("hogwild d=8: 1 thread %8.4fs | %u threads %8.4fs | "
+                "speedup %.2fx\n",
+                scaling_s[0], max_threads, scaling_s[1], scaling_speedup);
     bench::write_bench_json("BENCH_w2v.json", "w2v", entries);
 }
 
@@ -315,7 +376,7 @@ run_kernel_comparison()
                 double best = 1e300;
                 for (int rep = 0; rep < 3; ++rep) {
                     embed::SgnsModel model(kVocab, config);
-                    std::vector<float> scratch(dim);
+                    embed::SgnsPairScratch scratch;
                     rng::Random pair_random(11);
                     rng::Random negative_random(13);
                     util::Timer timer;
@@ -326,7 +387,7 @@ run_kernel_comparison()
                             pair_random.next_index(kVocab));
                         embed::sgns_update_pair(
                             model, context, center, negatives, kNegatives,
-                            0.025f, ops, negative_random, scratch.data());
+                            0.025f, ops, negative_random, scratch);
                     }
                     const double seconds = timer.seconds();
                     benchmark::DoNotOptimize(model.all_finite());

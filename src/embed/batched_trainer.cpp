@@ -7,6 +7,7 @@
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/parallel_for.hpp"
+#include "util/rank_slots.hpp"
 #include "util/timer.hpp"
 
 #include <algorithm>
@@ -89,14 +90,7 @@ train_sgns_batched(const walk::Corpus& corpus, graph::NodeId num_nodes,
 
     const unsigned max_team = sgns.num_threads ? sgns.num_threads
                                                : util::default_threads();
-    struct RankState
-    {
-        std::vector<float> scratch;
-    };
-    std::vector<RankState> ranks(max_team);
-    for (RankState& state : ranks) {
-        state.scratch.resize(sgns.dim);
-    }
+    util::RankSlots<SgnsPairScratch> ranks(max_team);
 
     std::uint64_t tokens_done = 0;
     std::uint64_t pairs_trained = 0;
@@ -158,16 +152,14 @@ train_sgns_batched(const walk::Corpus& corpus, graph::NodeId num_nodes,
                     if (config.shared_negatives) {
                         sgns_update_pair_shared(
                             model, pair.context, pair.center,
-                            shared_pool, alpha, ops,
-                            ranks[rank].scratch.data());
+                            shared_pool, alpha, ops, ranks[rank]);
                         return;
                     }
                     rng::Random random(rng::mix_seed(
                         sgns.seed ^ detail::kPairStreamTag, pair.stream));
                     sgns_update_pair(model, pair.context, pair.center,
                                      negatives, sgns.negatives, alpha,
-                                     ops, random,
-                                     ranks[rank].scratch.data());
+                                     ops, random, ranks[rank]);
                 },
                 {.num_threads = sgns.num_threads, .grain = 8});
 

@@ -9,7 +9,10 @@
 /// the three trainers share exactly one implementation of the hot loop
 /// and a future GPU/ISPC backend can slot in without touching them.
 ///
-/// Three implementations exist today:
+/// The hot loop is one op, update_pair: a whole (context, positive,
+/// negatives) step. The trainers only draw the targets; everything
+/// from the first dot to the context-row write-back happens inside the
+/// backend. Three implementations exist today:
 ///
 ///   - "scalar"          — the reference `detail::dot/axpy` loops in
 ///                         sgns_model.cpp, compiled under the default
@@ -19,20 +22,30 @@
 ///                         modeling one-thread-per-element uncoalesced
 ///                         access (SgnsConfig::vectorized = false, the
 ///                         paper-faithful un-optimized GPU baseline).
-///   - "simd"            — fused chunked kernels in kernels.cpp built
-///                         on util/simd.hpp's f32 half; its ISA string
-///                         reports which vector backend the PR-7
+///   - "simd"            — kernels.cpp on util/simd.hpp's f32 half; its
+///                         ISA string reports which vector backend the
 ///                         -DTGL_SIMD=auto|avx2|scalar dispatch chose.
+///                         It scores 8 targets at a time: the dots, a
+///                         sigmoid-LUT gather per vector of scores, then
+///                         the updates in target order. At the paper's
+///                         d = 8 (one AVX2 vector, two NEON vectors) the
+///                         context row and its gradient stay in
+///                         registers for the whole pair and the dots
+///                         reduce through transposed horizontal sums;
+///                         other dims run the same chunk steps through
+///                         memory.
 ///
 /// Backends agree *in law, not bytes*: the simd dot reassociates the
 /// reduction into vector partial sums, so trained embeddings match in
 /// link-prediction accuracy (the `ctest -L equivalence` battery) but
 /// not bitwise, and checkpoint fingerprints include the resolved
-/// backend name + ISA.
+/// backend name + ISA. Each backend is bit-stable against itself: its
+/// update_pair equals a composition of its own dot, sigmoid_batch and
+/// axpy (tests/test_embed_kernels.cpp checks this bit for bit).
 ///
 /// This header is intrinsics-free on purpose: the AVX2 instructions
-/// live only inside kernels.cpp (the PR-7 one-ISA-flagged-TU pattern),
-/// so including this header never leaks vector code into generic TUs.
+/// live only inside kernels.cpp (the one-ISA-flagged-TU pattern), so
+/// including this header never leaks vector code into generic TUs.
 #pragma once
 
 #include <cstddef>
@@ -59,12 +72,6 @@ std::optional<SgnsBackend> parse_sgns_backend(std::string_view name);
 /// Flag spelling of a backend value.
 const char* sgns_backend_name(SgnsBackend backend);
 
-/// Upper bound on targets handed to one update_targets call. The
-/// trainers buffer the positive target plus the sampled negatives into
-/// chunks of this many rows so the simd backend can batch the sigmoid
-/// evaluation across them (8 = one full AVX2 f32 vector).
-inline constexpr std::size_t kSgnsTargetChunk = 8;
-
 /// One SGNS kernel backend. All functions operate on packed rows of
 /// `dim` floats; none of them allocate or lock.
 struct SgnsBackendOps
@@ -82,16 +89,20 @@ struct SgnsBackendOps
     /// out[i] = sigma(x[i]) with the SigmoidTable saturation law
     /// (x >= 6 -> 1, x <= -6 -> 0, NaN -> 1).
     void (*sigmoid_batch)(const float* x, float* out, std::size_t n);
-    /// Fused SGNS step over up to kSgnsTargetChunk targets: per target
-    /// t, score = dot(context_row, target_rows[t]); gradient =
-    /// (labels[t] - sigma(score)) * alpha; scratch += gradient *
-    /// target_rows[t]; target_rows[t] += gradient * context_row. The
-    /// context-row update itself stays deferred in scratch (word2vec
-    /// reference semantics) — the caller applies it after the last
-    /// chunk.
-    void (*update_targets)(float* context_row, float* const* target_rows,
-                           const float* labels, std::size_t count,
-                           unsigned dim, float alpha, float* scratch);
+    /// One whole SGNS pair step over @p count target rows:
+    /// target_rows[0] is the positive (label 1), the rest are sampled
+    /// negatives (label 0). Per target t in order: gradient = (label -
+    /// sigma(dot(context_row, target_rows[t]))) * alpha; the context
+    /// gradient accumulates gradient * target_rows[t], read before
+    /// target_rows[t] += gradient * context_row. The context row is
+    /// updated once, after the last target (word2vec reference
+    /// semantics). The simd backend computes a chunk's 8 scores before
+    /// its updates, so a negative drawn twice in one chunk scores
+    /// against its pre-chunk row both times. @p scratch holds @p dim
+    /// floats for backends that keep the gradient in memory.
+    void (*update_pair)(float* context_row, float* const* target_rows,
+                        std::size_t count, unsigned dim, float alpha,
+                        float* scratch);
 };
 
 /// The vectorized kernels (kernels.cpp, the ISA-flagged TU). On a

@@ -13,26 +13,29 @@ namespace tgl::embed {
 
 namespace {
 
-/// The reference per-target SGNS step, templated on the uncoalesced
-/// model so both scalar backends share one body. Processing targets
-/// strictly in sequence keeps these backends byte-identical to the
-/// historic (pre-backend-interface) trainers regardless of how the
-/// caller chunks the targets.
+/// The reference pair step, templated on the uncoalesced model so both
+/// scalar backends share one body. Targets run strictly in sequence, so
+/// these backends stay byte-identical to the historic trainers.
 template <bool ScalarOnly>
 void
-scalar_update_targets(float* context_row, float* const* target_rows,
-                      const float* labels, std::size_t count, unsigned dim,
-                      float alpha, float* scratch)
+scalar_update_pair(float* context_row, float* const* target_rows,
+                   std::size_t count, unsigned dim, float alpha,
+                   float* scratch)
 {
     const SigmoidTable& sigmoid = SigmoidTable::instance();
+    for (unsigned i = 0; i < dim; ++i) {
+        scratch[i] = 0.0f;
+    }
     for (std::size_t t = 0; t < count; ++t) {
         float* target_row = target_rows[t];
+        const float label = t == 0 ? 1.0f : 0.0f;
         const float score =
             detail::dot(context_row, target_row, dim, ScalarOnly);
-        const float gradient = (labels[t] - sigmoid(score)) * alpha;
+        const float gradient = (label - sigmoid(score)) * alpha;
         detail::axpy(gradient, target_row, scratch, dim, ScalarOnly);
         detail::axpy(gradient, context_row, target_row, dim, ScalarOnly);
     }
+    detail::axpy(1.0f, scratch, context_row, dim, ScalarOnly);
 }
 
 template <bool ScalarOnly>
@@ -58,15 +61,29 @@ scalar_sigmoid(const float* x, float* out, std::size_t n)
     }
 }
 
+/// Room for @p count target rows and one gradient row, grown on first
+/// use by the calling worker.
+float**
+pair_buffers(SgnsPairScratch& scratch, std::size_t count, unsigned dim)
+{
+    if (scratch.targets.size() < count) {
+        scratch.targets.resize(count);
+    }
+    if (scratch.gradient.size() < dim) {
+        scratch.gradient.resize(dim);
+    }
+    return scratch.targets.data();
+}
+
 } // namespace
 
 const kernels::SgnsBackendOps&
 kernels::scalar_sgns_ops()
 {
     static const SgnsBackendOps ops{
-        "scalar",           "generic",
-        scalar_dot<false>,  scalar_axpy<false>,
-        scalar_sigmoid,     scalar_update_targets<false>,
+        "scalar",          "generic",
+        scalar_dot<false>, scalar_axpy<false>,
+        scalar_sigmoid,    scalar_update_pair<false>,
     };
     return ops;
 }
@@ -75,9 +92,9 @@ const kernels::SgnsBackendOps&
 kernels::modeled_scalar_sgns_ops()
 {
     static const SgnsBackendOps ops{
-        "scalar-modeled",  "generic",
-        scalar_dot<true>,  scalar_axpy<true>,
-        scalar_sigmoid,    scalar_update_targets<true>,
+        "scalar-modeled", "generic",
+        scalar_dot<true>, scalar_axpy<true>,
+        scalar_sigmoid,   scalar_update_pair<true>,
     };
     return ops;
 }
@@ -238,93 +255,40 @@ void
 sgns_update_pair(SgnsModel& model, WordId context, WordId center,
                  const NegativeTable& negatives, unsigned num_negatives,
                  float alpha, const kernels::SgnsBackendOps& ops,
-                 rng::Random& random, float* scratch)
+                 rng::Random& random, SgnsPairScratch& scratch)
 {
-    const unsigned dim = model.dim();
-
-    float* context_row = model.input_row(context);
-    for (unsigned i = 0; i < dim; ++i) {
-        scratch[i] = 0.0f;
-    }
-
-    // Positive target plus `num_negatives` sampled negatives, buffered
-    // into chunks so the simd backend batches the sigmoid across them.
-    // The negatives are drawn in the same RNG order as the reference
-    // kernel, so the target sequence is backend-independent.
-    float* rows[kernels::kSgnsTargetChunk];
-    float labels[kernels::kSgnsTargetChunk];
+    // The positive target first, then the negatives in RNG draw order,
+    // so the target sequence is backend-independent.
+    float** targets = pair_buffers(scratch, num_negatives + 1, model.dim());
     std::size_t count = 0;
-    for (unsigned n = 0; n <= num_negatives; ++n) {
-        WordId target;
-        float label;
-        if (n == 0) {
-            target = center;
-            label = 1.0f;
-        } else {
-            target = negatives.sample(random);
-            if (target == center) {
-                continue;
-            }
-            label = 0.0f;
-        }
-        rows[count] = model.output_row(target);
-        labels[count] = label;
-        if (++count == kernels::kSgnsTargetChunk) {
-            ops.update_targets(context_row, rows, labels, count, dim,
-                               alpha, scratch);
-            count = 0;
+    targets[count++] = model.output_row(center);
+    for (unsigned n = 0; n < num_negatives; ++n) {
+        const WordId target = negatives.sample(random);
+        if (target != center) {
+            targets[count++] = model.output_row(target);
         }
     }
-    if (count > 0) {
-        ops.update_targets(context_row, rows, labels, count, dim, alpha,
-                           scratch);
-    }
-    ops.axpy(1.0f, scratch, context_row, dim);
+    ops.update_pair(model.input_row(context), targets, count, model.dim(),
+                    alpha, scratch.gradient.data());
 }
 
 void
 sgns_update_pair_shared(SgnsModel& model, WordId context, WordId center,
                         std::span<const WordId> shared_negatives,
                         float alpha, const kernels::SgnsBackendOps& ops,
-                        float* scratch)
+                        SgnsPairScratch& scratch)
 {
-    const unsigned dim = model.dim();
-
-    float* context_row = model.input_row(context);
-    for (unsigned i = 0; i < dim; ++i) {
-        scratch[i] = 0.0f;
-    }
-
-    float* rows[kernels::kSgnsTargetChunk];
-    float labels[kernels::kSgnsTargetChunk];
+    float** targets = pair_buffers(scratch, shared_negatives.size() + 1,
+                                   model.dim());
     std::size_t count = 0;
-    const std::size_t targets = shared_negatives.size() + 1;
-    for (std::size_t n = 0; n < targets; ++n) {
-        WordId target;
-        float label;
-        if (n == 0) {
-            target = center;
-            label = 1.0f;
-        } else {
-            target = shared_negatives[n - 1];
-            if (target == center) {
-                continue;
-            }
-            label = 0.0f;
-        }
-        rows[count] = model.output_row(target);
-        labels[count] = label;
-        if (++count == kernels::kSgnsTargetChunk) {
-            ops.update_targets(context_row, rows, labels, count, dim,
-                               alpha, scratch);
-            count = 0;
+    targets[count++] = model.output_row(center);
+    for (const WordId target : shared_negatives) {
+        if (target != center) {
+            targets[count++] = model.output_row(target);
         }
     }
-    if (count > 0) {
-        ops.update_targets(context_row, rows, labels, count, dim, alpha,
-                           scratch);
-    }
-    ops.axpy(1.0f, scratch, context_row, dim);
+    ops.update_pair(model.input_row(context), targets, count, model.dim(),
+                    alpha, scratch.gradient.data());
 }
 
 } // namespace tgl::embed

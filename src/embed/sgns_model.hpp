@@ -164,16 +164,25 @@ axpy(float g, const float* x, float* y, unsigned dim, bool scalar_only)
 /// sgns.backend.<name> counter per resolution.
 const kernels::SgnsBackendOps& sgns_kernel_ops(const SgnsConfig& config);
 
+/// One worker's buffers for sgns_update_pair: the target rows of the
+/// pair in flight and the context-gradient row. Both start empty and
+/// the first pair sizes them, so they are allocated by the worker that
+/// writes them (see util/rank_slots.hpp).
+struct SgnsPairScratch
+{
+    std::vector<float*> targets;
+    std::vector<float> gradient;
+};
+
 /// One SGNS update: align input[context] with output[center], away
-/// from output[negatives]. Follows the word2vec reference kernel
-/// (gradient accumulated in @p scratch, applied to the input row last),
-/// buffering targets into kernels::kSgnsTargetChunk-row chunks for
-/// @p ops.update_targets. Writes are unsynchronized — Hogwild
-/// semantics.
+/// from output[negatives]. Draws the negatives (skipping any equal to
+/// @p center) and hands the whole pair to @p ops.update_pair, which
+/// follows the word2vec reference kernel. Writes are unsynchronized —
+/// Hogwild semantics.
 void sgns_update_pair(SgnsModel& model, WordId context, WordId center,
                       const NegativeTable& negatives, unsigned num_negatives,
                       float alpha, const kernels::SgnsBackendOps& ops,
-                      rng::Random& random, float* scratch);
+                      rng::Random& random, SgnsPairScratch& scratch);
 
 /// Variant taking pre-sampled negatives (the shared-negative-sampling
 /// GPU optimization: one negative pool drawn per batch and reused by
@@ -184,6 +193,6 @@ void sgns_update_pair_shared(SgnsModel& model, WordId context,
                              std::span<const WordId> shared_negatives,
                              float alpha,
                              const kernels::SgnsBackendOps& ops,
-                             float* scratch);
+                             SgnsPairScratch& scratch);
 
 } // namespace tgl::embed

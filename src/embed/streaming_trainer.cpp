@@ -7,6 +7,7 @@
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/parallel_for.hpp"
+#include "util/rank_slots.hpp"
 #include "util/timer.hpp"
 
 #include <algorithm>
@@ -27,16 +28,17 @@ constexpr std::uint64_t kStreamTag = 0xA5F152ED0C0FFEE1ULL;
 /// train_sentence (trainer.cpp) minus the vocab mapping: with word id
 /// == node id and neither min-count filtering nor subsampling, the
 /// sentence IS the word sequence. The window-shrink RNG draws line up
-/// with the sequential trainer's.
-void
+/// with the sequential trainer's. Returns the number of pairs trained.
+std::uint64_t
 train_identity_sentence(SgnsModel& model, const NegativeTable& negatives,
                         const SgnsConfig& config,
                         const kernels::SgnsBackendOps& ops,
                         std::span<const graph::NodeId> sentence,
-                        float alpha, rng::Random& random, float* scratch,
-                        std::uint64_t& pairs)
+                        float alpha, rng::Random& random,
+                        SgnsPairScratch& scratch)
 {
     const std::size_t len = sentence.size();
+    std::uint64_t pairs = 0;
     for (std::size_t pos = 0; pos < len; ++pos) {
         // word2vec shrinks the window uniformly per position.
         const unsigned shrink =
@@ -55,6 +57,7 @@ train_identity_sentence(SgnsModel& model, const NegativeTable& negatives,
             ++pairs;
         }
     }
+    return pairs;
 }
 
 float
@@ -146,7 +149,7 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
         // Consumers are plain threads (not pool workers), so each
         // carries its own per-thread counter scope for the phase.
         obs::PerfScope perf_scope("sgns");
-        std::vector<float> scratch(config.dim);
+        SgnsPairScratch scratch;
         std::uint64_t pairs = 0;
         while (std::optional<walk::CorpusShard> shard = queue.pop()) {
             const obs::Span shard_span("overlap.train.shard");
@@ -163,9 +166,9 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
                 rng::Random random(rng::mix_seed(
                     rng::mix_seed(config.seed ^ kStreamTag, shard->index),
                     s));
-                train_identity_sentence(model, prior, config, ops,
-                                        sentence, alpha, random,
-                                        scratch.data(), pairs);
+                pairs += train_identity_sentence(model, prior, config, ops,
+                                                 sentence, alpha, random,
+                                                 scratch);
                 tokens_done.fetch_add(sentence.size(),
                                       std::memory_order_relaxed);
             }
@@ -229,15 +232,12 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
         const unsigned max_team = config.num_threads
                                       ? config.num_threads
                                       : util::default_threads();
-        struct RankState
+        struct ReplayRank
         {
-            std::vector<float> scratch;
+            SgnsPairScratch scratch;
             std::uint64_t pairs = 0;
         };
-        std::vector<RankState> ranks(max_team);
-        for (RankState& state : ranks) {
-            state.scratch.resize(config.dim);
-        }
+        util::RankSlots<ReplayRank> ranks(max_team);
 
         obs::PerfRankScopes perf_scopes("sgns", max_team);
 
@@ -247,7 +247,7 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
                 0, num_sentences,
                 [&](std::size_t s, unsigned rank) {
                     perf_scopes.ensure(rank);
-                    RankState& state = ranks[rank];
+                    ReplayRank& state = ranks[rank];
                     const auto sentence = corpus.walk(s);
                     const float alpha = decayed_alpha(
                         config,
@@ -258,10 +258,9 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
                         static_cast<std::uint64_t>(epoch) *
                                 num_sentences +
                             s));
-                    train_identity_sentence(model, exact, config, ops,
-                                            sentence, alpha, random,
-                                            state.scratch.data(),
-                                            state.pairs);
+                    state.pairs += train_identity_sentence(
+                        model, exact, config, ops, sentence, alpha, random,
+                        state.scratch);
                     tokens_done.fetch_add(sentence.size(),
                                           std::memory_order_relaxed);
                 },
@@ -276,8 +275,8 @@ train_sgns_streaming(util::ShardQueue<walk::CorpusShard>& queue,
                     ")"));
             }
         }
-        for (RankState& state : ranks) {
-            total_pairs.fetch_add(state.pairs,
+        for (std::size_t rank = 0; rank < ranks.size(); ++rank) {
+            total_pairs.fetch_add(ranks[rank].pairs,
                                   std::memory_order_relaxed);
         }
     }

@@ -8,6 +8,7 @@
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/parallel_for.hpp"
+#include "util/rank_slots.hpp"
 #include "util/timer.hpp"
 
 #include <algorithm>
@@ -19,14 +20,23 @@ namespace tgl::embed {
 
 namespace {
 
-/// Process every (center, context) pair of one sentence.
-void
+/// One worker's state. Its counters are written once per sentence.
+struct SgnsRank
+{
+    std::vector<WordId> words;
+    SgnsPairScratch scratch;
+    std::uint64_t pairs = 0;
+};
+
+/// Process every (center, context) pair of one sentence; returns the
+/// number of pairs trained.
+std::uint64_t
 train_sentence(SgnsModel& model, const Vocab& vocab,
                const NegativeTable& negatives, const SgnsConfig& config,
                const kernels::SgnsBackendOps& ops,
                std::span<const graph::NodeId> sentence, float alpha,
                rng::Random& random, std::vector<WordId>& words,
-               float* scratch, std::uint64_t& pairs)
+               SgnsPairScratch& scratch)
 {
     // Map to word ids, applying min-count filtering and optional
     // frequent-word subsampling.
@@ -51,10 +61,11 @@ train_sentence(SgnsModel& model, const Vocab& vocab,
     }
 
     const std::size_t len = words.size();
+    std::uint64_t pairs = 0;
     for (std::size_t pos = 0; pos < len; ++pos) {
         // word2vec shrinks the window uniformly per position.
-        const unsigned shrink = static_cast<unsigned>(
-            random.next_index(config.window)) ;
+        const unsigned shrink =
+            static_cast<unsigned>(random.next_index(config.window));
         const unsigned effective = config.window - shrink;
         const std::size_t lo =
             pos >= effective ? pos - effective : 0;
@@ -69,6 +80,7 @@ train_sentence(SgnsModel& model, const Vocab& vocab,
             ++pairs;
         }
     }
+    return pairs;
 }
 
 } // namespace
@@ -99,21 +111,11 @@ train_sgns(const walk::Corpus& corpus, graph::NodeId num_nodes,
     const std::uint64_t total_tokens =
         static_cast<std::uint64_t>(corpus.num_tokens()) * config.epochs;
     std::atomic<std::uint64_t> tokens_done{0};
-    std::atomic<std::uint64_t> total_pairs{0};
 
     const unsigned max_team = config.num_threads ? config.num_threads
                                                  : util::default_threads();
-    struct RankState
-    {
-        std::vector<WordId> words;
-        std::vector<float> scratch;
-        std::uint64_t pairs = 0;
-        std::uint64_t tokens = 0;
-    };
-    std::vector<RankState> ranks(max_team);
-    for (RankState& state : ranks) {
-        state.scratch.resize(config.dim);
-    }
+    util::RankSlots<SgnsRank> ranks(max_team);
+    unsigned team = 0;
 
     // One counter scope spanning all epochs: the rank→worker mapping
     // is stable across dispatches, so each thread's set is opened once
@@ -123,11 +125,11 @@ train_sgns(const walk::Corpus& corpus, graph::NodeId num_nodes,
     for (unsigned epoch = 0; epoch < config.epochs; ++epoch) {
         util::check_cancellation("the sgns epoch loop");
         const obs::Span epoch_span("sgns.epoch");
-        util::parallel_for_ranked(
+        team = util::parallel_for_ranked(
             0, num_sentences,
             [&](std::size_t s, unsigned rank) {
                 perf_scopes.ensure(rank);
-                RankState& state = ranks[rank];
+                SgnsRank& state = ranks[rank];
                 const auto sentence = corpus.walk(s);
 
                 // Linear learning-rate decay from the shared progress
@@ -145,10 +147,9 @@ train_sgns(const walk::Corpus& corpus, graph::NodeId num_nodes,
                 rng::Random random(rng::mix_seed(
                     config.seed,
                     static_cast<std::uint64_t>(epoch) * num_sentences + s));
-                train_sentence(model, vocab, negatives, config, ops,
-                               sentence, alpha, random, state.words,
-                               state.scratch.data(), state.pairs);
-                state.tokens += sentence.size();
+                state.pairs += train_sentence(
+                    model, vocab, negatives, config, ops, sentence, alpha,
+                    random, state.words, state.scratch);
                 tokens_done.fetch_add(sentence.size(),
                                       std::memory_order_relaxed);
             },
@@ -165,11 +166,11 @@ train_sgns(const walk::Corpus& corpus, graph::NodeId num_nodes,
         }
     }
 
-    for (RankState& state : ranks) {
-        total_pairs.fetch_add(state.pairs, std::memory_order_relaxed);
+    std::uint64_t pairs = 0;
+    for (std::size_t rank = 0; rank < ranks.size(); ++rank) {
+        pairs += ranks[rank].pairs;
     }
 
-    const std::uint64_t pairs = total_pairs.load();
     const std::uint64_t tokens =
         tokens_done.load(std::memory_order_relaxed);
     const double seconds = timer.seconds();
@@ -181,6 +182,10 @@ train_sgns(const walk::Corpus& corpus, graph::NodeId num_nodes,
         .set(static_cast<double>(config.alpha));
     registry.gauge("sgns.pairs_per_second")
         .set(seconds > 0.0 ? static_cast<double>(pairs) / seconds : 0.0);
+    // The team that produced pairs_per_second, as num_threads = 0
+    // resolved it.
+    registry.gauge("sgns.threads").set(team);
+    span.arg("threads", team);
 
     const obs::PerfSample perf = perf_scopes.close();
     for (const auto& [key, value] : obs::perf_span_args(perf)) {

@@ -8,26 +8,6 @@
 
 namespace tgl::rng {
 
-std::uint64_t
-Random::next_index(std::uint64_t bound)
-{
-    TGL_DASSERT(bound > 0);
-    // Lemire's multiply-shift rejection method: unbiased and avoids the
-    // expensive 64-bit modulo on the hot path.
-    std::uint64_t x = engine_();
-    __uint128_t m = static_cast<__uint128_t>(x) * bound;
-    std::uint64_t low = static_cast<std::uint64_t>(m);
-    if (low < bound) {
-        const std::uint64_t threshold = (0 - bound) % bound;
-        while (low < threshold) {
-            x = engine_();
-            m = static_cast<__uint128_t>(x) * bound;
-            low = static_cast<std::uint64_t>(m);
-        }
-    }
-    return static_cast<std::uint64_t>(m >> 64);
-}
-
 std::int64_t
 Random::next_int(std::int64_t lo, std::int64_t hi)
 {
@@ -39,13 +19,6 @@ Random::next_int(std::int64_t lo, std::int64_t hi)
         return static_cast<std::int64_t>(engine_());
     }
     return lo + static_cast<std::int64_t>(next_index(span));
-}
-
-double
-Random::next_double()
-{
-    // 53 high bits -> [0, 1) with full double precision.
-    return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
 }
 
 double

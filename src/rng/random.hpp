@@ -7,6 +7,7 @@
 #pragma once
 
 #include "rng/xoshiro256.hpp"
+#include "util/error.hpp"
 
 #include <cstdint>
 #include <vector>
@@ -29,13 +30,36 @@ class Random
     std::uint64_t bits() { return engine_(); }
 
     /// Uniform integer in [0, bound); bound must be > 0.
-    std::uint64_t next_index(std::uint64_t bound);
+    std::uint64_t
+    next_index(std::uint64_t bound)
+    {
+        TGL_DASSERT(bound > 0);
+        // Lemire's multiply-shift rejection method: unbiased and avoids
+        // the expensive 64-bit modulo on the hot path.
+        std::uint64_t x = engine_();
+        __uint128_t m = static_cast<__uint128_t>(x) * bound;
+        std::uint64_t low = static_cast<std::uint64_t>(m);
+        if (low < bound) {
+            const std::uint64_t threshold = (0 - bound) % bound;
+            while (low < threshold) {
+                x = engine_();
+                m = static_cast<__uint128_t>(x) * bound;
+                low = static_cast<std::uint64_t>(m);
+            }
+        }
+        return static_cast<std::uint64_t>(m >> 64);
+    }
 
     /// Uniform integer in [lo, hi] inclusive.
     std::int64_t next_int(std::int64_t lo, std::int64_t hi);
 
     /// Uniform double in [0, 1).
-    double next_double();
+    double
+    next_double()
+    {
+        // 53 high bits -> [0, 1) with full double precision.
+        return static_cast<double>(engine_() >> 11) * 0x1.0p-53;
+    }
 
     /// Uniform double in [lo, hi).
     double next_double(double lo, double hi);

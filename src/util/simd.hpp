@@ -48,6 +48,11 @@
 ///     link-predictor ReLU selects with it, so NaN and -0 map to +0 on
 ///     every backend exactly like the scalar `v > 0 ? v : 0`.
 ///
+/// fhsum_transposed(v) reduces kF32Lanes vectors at once: lane t of
+/// its result is fhsum(v[t]), bit for bit, because it performs the
+/// same adds as that backend's fhsum in the same association order.
+/// The SGNS pair kernel uses it to reduce a chunk of dot products.
+///
 /// The shim is deliberately tiny: just the operations the lockstep
 /// searches in walk/batch.cpp and the two f32 kernels need, nothing
 /// speculative.
@@ -178,6 +183,30 @@ fhsum(VFloat v)
     sum = _mm_add_ss(sum, _mm_shuffle_ps(sum, sum, 0x1));
     return _mm_cvtss_f32(sum);
 }
+/// Lane t = fhsum(v[t]) for the 8 vectors v[0..7], bit for bit: each
+/// step is one of fhsum's adds, with the same operands in the same
+/// order, run for all eight sums at once.
+inline VFloat
+fhsum_transposed(const VFloat* v)
+{
+    // lo + hi: 128-bit half 0 of h[k] reduces v[k], half 1 v[k + 4].
+    __m256 h[4];
+    for (int k = 0; k < 4; ++k) {
+        h[k] = _mm256_add_ps(_mm256_permute2f128_ps(v[k], v[k + 4], 0x20),
+                             _mm256_permute2f128_ps(v[k], v[k + 4], 0x31));
+    }
+    // s0 + s2 and s1 + s3, two vectors per 128-bit half.
+    const __m256 q01 = _mm256_add_ps(
+        _mm256_shuffle_ps(h[0], h[1], _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm256_shuffle_ps(h[0], h[1], _MM_SHUFFLE(3, 2, 3, 2)));
+    const __m256 q23 = _mm256_add_ps(
+        _mm256_shuffle_ps(h[2], h[3], _MM_SHUFFLE(1, 0, 1, 0)),
+        _mm256_shuffle_ps(h[2], h[3], _MM_SHUFFLE(3, 2, 3, 2)));
+    // (s0 + s2) + (s1 + s3), landing v[t]'s sum in lane t.
+    return _mm256_add_ps(
+        _mm256_shuffle_ps(q01, q23, _MM_SHUFFLE(2, 0, 2, 0)),
+        _mm256_shuffle_ps(q01, q23, _MM_SHUFFLE(3, 1, 3, 1)));
+}
 /// base[(int)idx[lane]] for every lane. The caller clamps idx into the
 /// table; every lane is dereferenced.
 inline VFloat
@@ -270,7 +299,16 @@ fselect(VFBool mask, VFloat a, VFloat b)
 {
     return vbslq_f32(mask, a, b);
 }
+/// vaddvq_f32 lowers to two pairwise adds (faddp), so the sum is
+/// (v0 + v1) + (v2 + v3).
 inline float fhsum(VFloat v) { return vaddvq_f32(v); }
+/// Lane t = fhsum(v[t]) for the 4 vectors v[0..3], bit for bit: the
+/// same two pairwise adds, run for all four sums at once.
+inline VFloat
+fhsum_transposed(const VFloat* v)
+{
+    return vpaddq_f32(vpaddq_f32(v[0], v[1]), vpaddq_f32(v[2], v[3]));
+}
 inline VFloat
 fgather(const float* base, VFloat idx)
 {
@@ -577,6 +615,16 @@ fhsum(VFloat v)
         sum += v.lane[i];
     }
     return sum;
+}
+/// Lane t = fhsum(v[t]) for the 8 vectors v[0..7].
+inline VFloat
+fhsum_transposed(const VFloat* v)
+{
+    VFloat sums;
+    for (std::size_t t = 0; t < kF32Lanes; ++t) {
+        sums.lane[t] = fhsum(v[t]);
+    }
+    return sums;
 }
 inline VFloat
 fgather(const float* base, VFloat idx)

@@ -8,6 +8,7 @@
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/parallel_for.hpp"
+#include "util/rank_slots.hpp"
 
 #include <algorithm>
 #include <vector>
@@ -359,8 +360,12 @@ generate_walks(const graph::TemporalGraph& graph, const WalkConfig& config,
 
     const unsigned max_team = config.num_threads ? config.num_threads
                                                  : util::default_threads();
-    std::vector<WalkProfile> rank_profiles(max_team);
-    std::vector<std::vector<std::uint32_t>> rank_scratch(max_team);
+    struct WalkRank
+    {
+        WalkProfile profile;
+        std::vector<std::uint32_t> scratch;
+    };
+    util::RankSlots<WalkRank> ranks(max_team);
 
     // Hardware counters for the whole block loop: each worker opens
     // its per-thread set on first touch, the join below makes the
@@ -401,7 +406,7 @@ generate_walks(const graph::TemporalGraph& graph, const WalkConfig& config,
                                    batch_width,
                                    buffer.data() + slot * tokens_per_walk,
                                    tokens_per_walk, lengths.data() + slot,
-                                   rank_profiles[rank]);
+                                   ranks[rank].profile);
                 },
                 {.num_threads = config.num_threads});
         } else {
@@ -414,7 +419,7 @@ generate_walks(const graph::TemporalGraph& graph, const WalkConfig& config,
                         buffer.data() + slot * tokens_per_walk;
                     const std::size_t written =
                         walk_slot(graph, config, cache, slot_index, tokens,
-                                  rank_scratch[rank], rank_profiles[rank]);
+                                  ranks[rank].scratch, ranks[rank].profile);
                     lengths[slot] = static_cast<std::uint8_t>(written);
                 },
                 {.num_threads = config.num_threads});
@@ -435,8 +440,8 @@ generate_walks(const graph::TemporalGraph& graph, const WalkConfig& config,
     // Fold the per-rank accumulators once per call: the hot loop stays
     // free of shared writes, and the registry sees one add per total.
     WalkProfile totals;
-    for (const WalkProfile& local : rank_profiles) {
-        accumulate_profile(totals, local);
+    for (std::size_t rank = 0; rank < ranks.size(); ++rank) {
+        accumulate_profile(totals, ranks[rank].profile);
     }
     totals.walks_kept = corpus.num_walks();
 

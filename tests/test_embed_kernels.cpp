@@ -1,9 +1,9 @@
 /// Tests for the SGNS kernel layer: the SigmoidTable out-of-bounds
 /// regression, the simd kernels against the scalar reference loops,
-/// backend parsing/resolution, the batched per-pair RNG stream
-/// derivation, and the scalar-vs-simd training equivalence battery
-/// (backends agree in law — link-prediction-grade separation — not
-/// bytes).
+/// the bitwise update_pair battery, backend parsing/resolution, the
+/// batched per-pair RNG stream derivation, and the scalar-vs-simd
+/// training equivalence battery (backends agree in law —
+/// link-prediction-grade separation — not bytes).
 #include "embed/kernels.hpp"
 
 #include "embed/batched_trainer.hpp"
@@ -16,7 +16,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <string_view>
 #include <vector>
@@ -255,47 +257,148 @@ TEST(SgnsKernels, SigmoidBatchMatchesTableExactlyIncludingSpecials)
     }
 }
 
-TEST(SgnsKernels, UpdateTargetsMatchesScalarReferenceInLaw)
-{
-    const auto& scalar = kernels::scalar_sgns_ops();
-    const auto& simd = kernels::simd_sgns_ops();
-    constexpr unsigned dim = 32;
-    rng::Random random(29);
-    const auto context0 = random_row(random, dim);
-    std::vector<std::vector<float>> targets0;
-    float labels[kernels::kSgnsTargetChunk] = {1.0f, 0.0f, 0.0f, 0.0f,
-                                               0.0f, 1.0f, 0.0f, 0.0f};
-    for (std::size_t t = 0; t < kernels::kSgnsTargetChunk; ++t) {
-        targets0.push_back(random_row(random, dim));
-    }
+// ---------------------------------------------------------------------
+// update_pair battery: every backend's whole-pair op must equal, bit
+// for bit, the pair step composed from that backend's own dot,
+// sigmoid_batch and axpy in the historic order. The scalar backends
+// score one target at a time; simd scores chunks of 8 before updating
+// them. Dims cover the simd register path (d = 8), its chunked
+// fallback, and sub-vector rows.
 
-    const auto run = [&](const kernels::SgnsBackendOps& ops,
-                         std::size_t count) {
-        auto context = context0;
-        auto targets = targets0;
-        std::vector<float*> rows;
-        for (auto& row : targets) {
-            rows.push_back(row.data());
+/// The historic pair step: gradient zeroed, then per chunk of
+/// @p chunk targets all scores, one sigmoid_batch, and the updates in
+/// target order; the context row takes the gradient last.
+void
+composed_update_pair(const kernels::SgnsBackendOps& ops, std::size_t chunk,
+                     float* context, float* const* rows, std::size_t count,
+                     unsigned dim, float alpha)
+{
+    constexpr std::size_t kMaxChunk = 8;
+    std::vector<float> gradient(dim, 0.0f);
+    for (std::size_t begin = 0; begin < count; begin += chunk) {
+        const std::size_t n = std::min(chunk, count - begin);
+        float scores[kMaxChunk] = {};
+        float sigmoids[kMaxChunk];
+        for (std::size_t t = 0; t < n; ++t) {
+            scores[t] = ops.dot(context, rows[begin + t], dim);
         }
-        std::vector<float> scratch(dim, 0.0f);
-        ops.update_targets(context.data(), rows.data(), labels, count, dim,
-                           0.05f, scratch.data());
-        ops.axpy(1.0f, scratch.data(), context.data(), dim);
-        std::vector<float> flat = context;
-        for (const auto& row : targets) {
+        ops.sigmoid_batch(scores, sigmoids, kMaxChunk);
+        for (std::size_t t = 0; t < n; ++t) {
+            const float label = begin + t == 0 ? 1.0f : 0.0f;
+            const float g = (label - sigmoids[t]) * alpha;
+            ops.axpy(g, rows[begin + t], gradient.data(), dim);
+            ops.axpy(g, context, rows[begin + t], dim);
+        }
+    }
+    ops.axpy(1.0f, gradient.data(), context, dim);
+}
+
+/// A context row plus distinct target rows; `slots` maps each target
+/// position to a row, so a slot listed twice is a duplicated negative.
+struct PairFixture
+{
+    std::vector<float> context;
+    std::vector<std::vector<float>> rows;
+
+    /// Run @p step on the rows named by @p slots; returns the context
+    /// followed by every row, flattened.
+    template <typename Step>
+    std::vector<float>
+    run(const std::vector<std::size_t>& slots, Step&& step) const
+    {
+        PairFixture copy = *this;
+        std::vector<float*> targets;
+        for (std::size_t slot : slots) {
+            targets.push_back(copy.rows[slot].data());
+        }
+        step(copy.context.data(), targets.data(), targets.size());
+        std::vector<float> flat = copy.context;
+        for (const auto& row : copy.rows) {
             flat.insert(flat.end(), row.begin(), row.end());
         }
         return flat;
-    };
+    }
+};
 
-    for (std::size_t count : {std::size_t{1}, std::size_t{3},
-                              kernels::kSgnsTargetChunk}) {
-        const auto a = run(scalar, count);
-        const auto b = run(simd, count);
-        ASSERT_EQ(a.size(), b.size());
-        for (std::size_t i = 0; i < a.size(); ++i) {
-            EXPECT_NEAR(a[i], b[i], 1e-4f)
-                << "count " << count << " element " << i;
+PairFixture
+pair_fixture(rng::Random& random, unsigned dim, std::size_t rows)
+{
+    // Scaled so dot products mostly land inside the sigmoid table.
+    const float scale = 2.0f / std::sqrt(static_cast<float>(dim));
+    const auto row = [&] {
+        std::vector<float> values = random_row(random, dim);
+        for (float& v : values) {
+            v *= scale;
+        }
+        return values;
+    };
+    PairFixture fixture;
+    fixture.context = row();
+    for (std::size_t r = 0; r < rows; ++r) {
+        fixture.rows.push_back(row());
+    }
+    return fixture;
+}
+
+/// update_pair vs the composed reference on @p ops, bitwise.
+void
+expect_update_pair_bit_exact(const kernels::SgnsBackendOps& ops,
+                             const PairFixture& fixture,
+                             const std::vector<std::size_t>& slots,
+                             unsigned dim)
+{
+    const std::size_t chunk = std::string_view(ops.name) == "simd" ? 8 : 1;
+    constexpr float kAlpha = 0.05f;
+    const auto fused = fixture.run(
+        slots, [&](float* context, float* const* rows, std::size_t count) {
+            std::vector<float> scratch(dim);
+            ops.update_pair(context, rows, count, dim, kAlpha,
+                            scratch.data());
+        });
+    const auto composed = fixture.run(
+        slots, [&](float* context, float* const* rows, std::size_t count) {
+            composed_update_pair(ops, chunk, context, rows, count, dim,
+                                 kAlpha);
+        });
+    ASSERT_EQ(fused.size(), composed.size());
+    EXPECT_EQ(std::memcmp(fused.data(), composed.data(),
+                          fused.size() * sizeof(float)),
+              0)
+        << ops.name << " dim " << dim << " targets " << slots.size();
+}
+
+const kernels::SgnsBackendOps* const kAllBackends[] = {
+    &kernels::scalar_sgns_ops(),
+    &kernels::modeled_scalar_sgns_ops(),
+    &kernels::simd_sgns_ops(),
+};
+
+TEST(SgnsKernels, UpdatePairMatchesComposedOpsBitForBit)
+{
+    rng::Random random(29);
+    for (unsigned dim : {1u, 7u, 8u, 9u, 16u, 32u, 128u}) {
+        for (std::size_t count : {1u, 6u, 8u, 9u, 17u}) {
+            const PairFixture fixture = pair_fixture(random, dim, count);
+            std::vector<std::size_t> slots(count);
+            std::iota(slots.begin(), slots.end(), std::size_t{0});
+            for (const kernels::SgnsBackendOps* ops : kAllBackends) {
+                expect_update_pair_bit_exact(*ops, fixture, slots, dim);
+            }
+        }
+    }
+}
+
+TEST(SgnsKernels, UpdatePairDuplicatedNegativeMatchesComposedOps)
+{
+    // Row 2 is drawn twice inside the first chunk of 8 and row 3 once
+    // in each chunk: the second copy must see the first copy's update
+    // exactly as the composed ops do.
+    const std::vector<std::size_t> slots = {0, 1, 2, 3, 2, 4, 5, 6, 3, 7};
+    rng::Random random(31);
+    for (unsigned dim : {7u, 8u, 16u, 32u, 128u}) {
+        const PairFixture fixture = pair_fixture(random, dim, 8);
+        for (const kernels::SgnsBackendOps* ops : kAllBackends) {
+            expect_update_pair_bit_exact(*ops, fixture, slots, dim);
         }
     }
 }
@@ -409,49 +512,58 @@ TEST(SgnsKernels, BatchPairStreamsUniqueAcrossLongWalksBatchesAndEpochs)
 // backends must agree in law — both train embeddings that separate the
 // two communities to link-prediction-grade margins and stay finite.
 // TGL_EQUIV_DRAWS scales the number of independent seeds.
+//
+// Each seed trains at fast_config's two workers and again at one; the
+// one-worker run compares the backends where the result does not
+// depend on thread timing.
 
-TEST(SgnsKernels, EquivalenceHogwildScalarVsSimd)
+/// Trains every seed's corpus with both backends through @p train, at
+/// two workers and at one.
+template <typename Train>
+void
+expect_backends_agree(Train train)
 {
     const int seeds = 2 * equiv_scale();
     for (int seed = 1; seed <= seeds; ++seed) {
         const walk::Corpus corpus =
             two_community_corpus(static_cast<std::uint64_t>(seed));
-        const Embedding scalar = train_sgns(
-            corpus, kNumNodes, fast_config(kernels::SgnsBackend::kScalar));
-        const Embedding simd = train_sgns(
-            corpus, kNumNodes, fast_config(kernels::SgnsBackend::kSimd));
-        EXPECT_TRUE(all_finite(scalar)) << "seed " << seed;
-        EXPECT_TRUE(all_finite(simd)) << "seed " << seed;
-        const double scalar_margin = separation_margin(scalar);
-        const double simd_margin = separation_margin(simd);
-        EXPECT_GT(scalar_margin, 0.5) << "seed " << seed;
-        EXPECT_GT(simd_margin, 0.5) << "seed " << seed;
-        EXPECT_NEAR(scalar_margin, simd_margin, 0.35) << "seed " << seed;
+        for (const unsigned threads : {2u, 1u}) {
+            SgnsConfig config = fast_config(kernels::SgnsBackend::kScalar);
+            config.num_threads = threads;
+            const Embedding scalar = train(corpus, config);
+            config.backend = kernels::SgnsBackend::kSimd;
+            const Embedding simd = train(corpus, config);
+            SCOPED_TRACE(::testing::Message()
+                         << "seed " << seed << ", " << threads
+                         << " workers");
+            EXPECT_TRUE(all_finite(scalar));
+            EXPECT_TRUE(all_finite(simd));
+            const double scalar_margin = separation_margin(scalar);
+            const double simd_margin = separation_margin(simd);
+            EXPECT_GT(scalar_margin, 0.5);
+            EXPECT_GT(simd_margin, 0.5);
+            EXPECT_NEAR(scalar_margin, simd_margin, 0.35);
+        }
     }
+}
+
+TEST(SgnsKernels, EquivalenceHogwildScalarVsSimd)
+{
+    expect_backends_agree(
+        [](const walk::Corpus& corpus, const SgnsConfig& config) {
+            return train_sgns(corpus, kNumNodes, config);
+        });
 }
 
 TEST(SgnsKernels, EquivalenceBatchedScalarVsSimd)
 {
-    const int seeds = 2 * equiv_scale();
-    for (int seed = 1; seed <= seeds; ++seed) {
-        const walk::Corpus corpus =
-            two_community_corpus(static_cast<std::uint64_t>(seed));
-        BatchedSgnsConfig config;
-        config.batch_size = 64;
-        config.sgns = fast_config(kernels::SgnsBackend::kScalar);
-        const Embedding scalar =
-            train_sgns_batched(corpus, kNumNodes, config);
-        config.sgns.backend = kernels::SgnsBackend::kSimd;
-        const Embedding simd =
-            train_sgns_batched(corpus, kNumNodes, config);
-        EXPECT_TRUE(all_finite(scalar)) << "seed " << seed;
-        EXPECT_TRUE(all_finite(simd)) << "seed " << seed;
-        const double scalar_margin = separation_margin(scalar);
-        const double simd_margin = separation_margin(simd);
-        EXPECT_GT(scalar_margin, 0.5) << "seed " << seed;
-        EXPECT_GT(simd_margin, 0.5) << "seed " << seed;
-        EXPECT_NEAR(scalar_margin, simd_margin, 0.35) << "seed " << seed;
-    }
+    expect_backends_agree(
+        [](const walk::Corpus& corpus, const SgnsConfig& config) {
+            BatchedSgnsConfig batched;
+            batched.batch_size = 64;
+            batched.sgns = config;
+            return train_sgns_batched(corpus, kNumNodes, batched);
+        });
 }
 
 } // namespace

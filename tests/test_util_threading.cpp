@@ -1,5 +1,6 @@
 /// Unit tests for the thread pool and parallel loop primitives.
 #include "util/parallel_for.hpp"
+#include "util/rank_slots.hpp"
 #include "util/thread_pool.hpp"
 #include "util/env.hpp"
 #include "util/logging.hpp"
@@ -7,9 +8,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace tgl::util {
@@ -244,6 +247,69 @@ TEST(ParallelFor, PoolUsableAfterCancelledLoop)
         [&](std::size_t) { count.fetch_add(1, std::memory_order_relaxed); },
         {.num_threads = 4});
     EXPECT_EQ(count.load(), 1000u);
+}
+
+/// First and last cache line a rank's slot occupies.
+template <typename T>
+std::pair<std::uintptr_t, std::uintptr_t>
+slot_lines(const RankSlots<T>& slots, std::size_t rank)
+{
+    const auto begin = reinterpret_cast<std::uintptr_t>(&slots[rank]);
+    return {begin / kCacheLineBytes,
+            (begin + sizeof(T) - 1) / kCacheLineBytes};
+}
+
+template <typename T>
+void
+expect_private_lines(const RankSlots<T>& slots)
+{
+    for (std::size_t rank = 0; rank < slots.size(); ++rank) {
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&slots[rank]) %
+                      kCacheLineBytes,
+                  0u)
+            << "rank " << rank;
+        for (std::size_t other = rank + 1; other < slots.size(); ++other) {
+            const auto [first, last] = slot_lines(slots, rank);
+            const auto [other_first, other_last] = slot_lines(slots, other);
+            EXPECT_TRUE(last < other_first || other_last < first)
+                << "ranks " << rank << " and " << other
+                << " share a cache line";
+        }
+    }
+}
+
+TEST(RankSlots, EachRankOwnsAlignedPrivateCacheLines)
+{
+    // A bare counter, a struct spanning two lines, and the SGNS/walk
+    // pattern of counters next to a heap buffer's header.
+    struct TwoLines
+    {
+        char bytes[kCacheLineBytes + 8];
+    };
+    struct Counters
+    {
+        std::vector<int> buffer;
+        std::uint64_t count = 0;
+    };
+    expect_private_lines(RankSlots<std::uint64_t>(8));
+    expect_private_lines(RankSlots<TwoLines>(5));
+    expect_private_lines(RankSlots<Counters>(4));
+}
+
+TEST(RankSlots, ValueInitializesAndKeepsPerRankState)
+{
+    RankSlots<std::uint64_t> counts(4);
+    for (std::size_t rank = 0; rank < counts.size(); ++rank) {
+        EXPECT_EQ(counts[rank], 0u);
+    }
+    parallel_for_ranked(
+        0, 1000, [&](std::size_t, unsigned rank) { ++counts[rank]; },
+        {.num_threads = 4});
+    std::uint64_t total = 0;
+    for (std::size_t rank = 0; rank < counts.size(); ++rank) {
+        total += counts[rank];
+    }
+    EXPECT_EQ(total, 1000u);
 }
 
 TEST(HostInfo, SaneValuesAndCachedSummary)

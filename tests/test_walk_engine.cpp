@@ -292,7 +292,12 @@ struct ValidityCase
 {
     TransitionKind transition;
     bool strict;
+    // gtest names each case after the param's object bytes, so the
+    // struct has no padding: the tail is explicit and zeroed, and the
+    // registered test names do not pick up stack garbage.
+    unsigned char zero_tail[sizeof(TransitionKind) - sizeof(bool)] = {};
 };
+static_assert(sizeof(ValidityCase) == 2 * sizeof(TransitionKind));
 
 class WalkValidity : public ::testing::TestWithParam<ValidityCase>
 {
