@@ -291,7 +291,7 @@ run_batched_comparison()
             const double seconds =
                 time_walks_cached(graph, config, cache, &steps);
             const std::string variant =
-                width == 1 ? "scalar" : "w" + std::to_string(width);
+                width == 1 ? "scalar" : util::strcat("w", width);
             bench::BenchEntry entry{
                 "walk_batched/" + name + "/" + variant, seconds,
                 seconds > 0.0 ? steps / seconds : 0.0,

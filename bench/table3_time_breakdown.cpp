@@ -9,10 +9,6 @@
 /// batched/GPU execution loses at small sizes (fixed overheads) and
 /// wins at large sizes. The default run scales the paper's 1M-node
 /// configs down 100x; pass --node-scale 1 for paper size.
-///
-/// --overlap-ab swaps the batched column for an overlapped-front-end
-/// A/B: each row runs twice with --overlap off/on and reports the
-/// fused walk+w2v wall time and the resulting speedup.
 #include "tgl/tgl.hpp"
 
 #include <cstdio>
@@ -29,9 +25,6 @@ main(int argc, char** argv)
     cli.add_flag("seed", "1", "random seed");
     cli.add_flag("sgns-backend", "auto",
                  "SGNS kernel backend: auto | scalar | simd");
-    cli.add_switch("overlap-ab",
-                   "replace the batched column with an overlapped "
-                   "walk+w2v A/B (off vs on) per row");
     try {
         if (!cli.parse(argc, argv)) {
             return 0;
@@ -40,7 +33,6 @@ main(int argc, char** argv)
         const long long max_rows = cli.get_int("max-rows");
         const auto seed =
             static_cast<std::uint64_t>(cli.get_int("seed"));
-        const bool overlap_ab = cli.get_switch("overlap-ab");
         const auto sgns_backend = embed::kernels::parse_sgns_backend(
             cli.get_string("sgns-backend"));
         if (!sgns_backend) {
@@ -53,23 +45,13 @@ main(int argc, char** argv)
                                            100, 200};
         const auto nodes = static_cast<graph::NodeId>(1e6 * node_scale);
 
-        if (overlap_ab) {
-            std::printf("# Table III variant — ER graphs, %s nodes; "
-                        "overlapped walk+w2v front end A/B (off vs "
-                        "on)\n",
-                        util::format_count(nodes).c_str());
-            std::printf("%-14s %12s %12s %12s %10s\n", "graph",
-                        "seq wall(s)", "ovl wall(s)", "speedup",
-                        "total(s)");
-        } else {
-            std::printf("# Table III reproduction — ER graphs, %s nodes "
-                        "(paper: 1M), per-epoch train times; cpu = "
-                        "Hogwild w2v, batched = GPU execution model\n",
-                        util::format_count(nodes).c_str());
-            std::printf("%-14s %10s %10s %12s %12s %12s %10s\n",
-                        "graph", "rwalk(s)", "w2v-cpu(s)", "w2v-batch(s)",
-                        "train/ep(s)", "test(s)", "total(s)");
-        }
+        std::printf("# Table III reproduction — ER graphs, %s nodes "
+                    "(paper: 1M), per-epoch train times; cpu = "
+                    "Hogwild w2v, batched = GPU execution model\n",
+                    util::format_count(nodes).c_str());
+        std::printf("%-14s %10s %10s %12s %12s %12s %10s\n", "graph",
+                    "rwalk(s)", "w2v-cpu(s)", "w2v-batch(s)",
+                    "train/ep(s)", "test(s)", "total(s)");
 
         for (int row = 0;
              row < static_cast<int>(std::size(edge_multipliers)) &&
@@ -91,29 +73,6 @@ main(int argc, char** argv)
             config.sgns.backend = *sgns_backend;
             config.classifier.max_epochs = 3;
 
-            if (overlap_ab) {
-                config.overlap = core::OverlapMode::kOff;
-                const core::PipelineResult seq =
-                    core::run_link_prediction_pipeline(edges, config);
-                config.overlap = core::OverlapMode::kOn;
-                const core::PipelineResult ovl =
-                    core::run_link_prediction_pipeline(edges, config);
-
-                const double seq_wall =
-                    seq.times.random_walk + seq.times.word2vec;
-                const double ovl_wall = ovl.times.walk_w2v_wall > 0.0
-                                            ? ovl.times.walk_w2v_wall
-                                            : ovl.times.random_walk +
-                                                  ovl.times.word2vec;
-                std::printf("%-3s,%-9s %12.3f %12.3f %11.2fx %10.3f\n",
-                            util::format_count(nodes).c_str(),
-                            util::format_count(edge_count).c_str(),
-                            seq_wall, ovl_wall,
-                            ovl_wall > 0.0 ? seq_wall / ovl_wall : 0.0,
-                            ovl.times.total());
-                continue;
-            }
-
             const core::PipelineResult cpu =
                 core::run_link_prediction_pipeline(edges, config);
 
@@ -130,17 +89,10 @@ main(int argc, char** argv)
                 batched.times.word2vec, cpu.times.train_per_epoch,
                 cpu.times.test, cpu.times.total());
         }
-        if (overlap_ab) {
-            std::printf("\n# speedup > 1 needs >= 2 hardware threads "
-                        "and phase costs within ~4x of each other; on "
-                        "one core the overlapped run pays queue "
-                        "overhead for no concurrency.\n");
-        } else {
-            std::printf("\n# paper shape check: train dominates total "
-                        "time; all phases grow with edges; the batched "
-                        "w2v column overtakes the cpu column as graphs "
-                        "grow.\n");
-        }
+        std::printf("\n# paper shape check: train dominates total "
+                    "time; all phases grow with edges; the batched "
+                    "w2v column overtakes the cpu column as graphs "
+                    "grow.\n");
     } catch (const util::Error& error) {
         std::fprintf(stderr, "error: %s\n", error.what());
         return 1;

@@ -382,20 +382,6 @@ write_pipeline_bench(const std::string& path,
                         {link_prediction ? "test_auc" : "test_macro_f1",
                          link_prediction ? result.task.test_auc
                                          : result.task.test_macro_f1}}});
-    if (result.overlap.used) {
-        // With overlap on, walk + word2vec busy time exceeds the fused
-        // region's wall clock; this entry carries the measured wall and
-        // the queue health counters for the A/B comparison.
-        entries.push_back(
-            {"pipeline/front_end_wall", result.times.walk_w2v_wall, 0.0,
-             {{"shards", static_cast<double>(result.overlap.shards)},
-              {"max_queue_depth",
-               static_cast<double>(result.overlap.max_queue_depth)},
-              {"producer_stall_seconds",
-               result.overlap.producer_stall_seconds},
-              {"consumer_stall_seconds",
-               result.overlap.consumer_stall_seconds}}});
-    }
     entries.push_back({"pipeline/total", total, 0.0, {}});
     bench::write_bench_json(path, "pipeline", entries);
 }
@@ -436,12 +422,6 @@ cmd_pipeline(int argc, const char* const* argv)
     cli.add_flag("bench-out", "",
                  "write the phase breakdown as BENCH_pipeline.json "
                  "(shared bench schema) to this path");
-    cli.add_flag("overlap", "auto",
-                 "overlapped walk->word2vec execution: on | off | auto "
-                 "(auto overlaps when the phase cost estimates are "
-                 "within 4x)");
-    cli.add_flag("overlap-shards", "0",
-                 "corpus shards for overlapped execution (0 = auto)");
     cli.add_flag("perf", "auto",
                  "hardware counters (perf_event_open) per phase: on | "
                  "off | auto (on/auto degrade to no-ops when "
@@ -452,10 +432,6 @@ cmd_pipeline(int argc, const char* const* argv)
                  "README)");
     cli.add_flag("failpoints-seed", "0",
                  "seed for probabilistic failpoint triggers");
-    cli.add_flag("watchdog-timeout", "0",
-                 "overlap stall watchdog deadline in seconds (0 "
-                 "disables); on a stall the run aborts with a resumable "
-                 "checkpoint instead of hanging");
     cli.add_flag("sgns-backend", "auto",
                  "SGNS kernel backend: auto | scalar | simd");
     cli.add_switch("batched", "use the batched (GPU-model) trainer");
@@ -486,17 +462,7 @@ cmd_pipeline(int argc, const char* const* argv)
     if (cli.get_switch("batched")) {
         config.w2v_mode = core::W2vMode::kBatched;
     }
-    if (const auto mode =
-            core::parse_overlap_mode(cli.get_string("overlap"))) {
-        config.overlap = *mode;
-    } else {
-        util::fatal("--overlap expects on | off | auto");
-    }
-    config.overlap_shards =
-        static_cast<std::size_t>(cli.get_int("overlap-shards"));
     config.checkpoint_dir = cli.get_string("checkpoint-dir");
-    config.watchdog_timeout_seconds =
-        util::parse_double(cli.get_string("watchdog-timeout"));
     if (const auto mode =
             obs::parse_perf_mode(cli.get_string("perf"))) {
         obs::set_perf_mode(*mode);
@@ -583,17 +549,6 @@ cmd_pipeline(int argc, const char* const* argv)
     }
 
     std::printf("%s\n", core::format_phase_times(result.times).c_str());
-    if (result.overlap.used) {
-        std::printf("overlap: %zu shards | queue depth max %zu | "
-                    "producer stall %.3fs | consumer stall %.3fs\n",
-                    result.overlap.shards,
-                    result.overlap.max_queue_depth,
-                    result.overlap.producer_stall_seconds,
-                    result.overlap.consumer_stall_seconds);
-    } else if (!result.overlap.decision.empty() &&
-               config.overlap != core::OverlapMode::kOff) {
-        std::printf("overlap: %s\n", result.overlap.decision.c_str());
-    }
     std::printf("test accuracy %.4f | %s %.4f (%u epochs)\n",
                 result.task.test_accuracy,
                 link_prediction ? "auc" : "macro-f1",
@@ -612,11 +567,6 @@ cmd_pipeline(int argc, const char* const* argv)
                     : s.embedding_stored ? "stored" : "skipped",
                     s.classifier_loaded ? "resumed"
                     : s.classifier_stored ? "stored" : "skipped");
-        if (s.corpus_shards_loaded > 0 || s.corpus_shards_stored > 0) {
-            std::printf("checkpoints: corpus shards %u resumed, "
-                        "%u stored\n",
-                        s.corpus_shards_loaded, s.corpus_shards_stored);
-        }
         if (s.artifacts_quarantined > 0 || s.artifacts_regenerated > 0) {
             std::printf("recovery: %u artifacts quarantined, "
                         "%u regenerated\n",

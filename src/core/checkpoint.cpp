@@ -26,18 +26,6 @@ fingerprint_edges(const graph::EdgeList& edges)
     return fp.value();
 }
 
-std::uint64_t
-shard_fingerprint(std::uint64_t walk_fingerprint, std::size_t index,
-                  std::size_t num_shards)
-{
-    util::Fingerprint fp;
-    fp.mix(std::string_view("corpus-shard"));
-    fp.mix(walk_fingerprint);
-    fp.mix(static_cast<std::uint64_t>(index));
-    fp.mix(static_cast<std::uint64_t>(num_shards));
-    return fp.value();
-}
-
 void
 mix_config(util::Fingerprint& fp, const walk::WalkConfig& config)
 {
@@ -298,40 +286,6 @@ CheckpointManager::store_corpus(std::uint64_t fingerprint,
                                 const walk::Corpus& corpus) const
 {
     corpus.save_binary_file(corpus_path(), fingerprint);
-}
-
-std::string
-CheckpointManager::corpus_shard_path(std::size_t index) const
-{
-    return (std::filesystem::path(directory_) /
-            util::strcat("corpus_shard_", index, ".tgla"))
-        .string();
-}
-
-bool
-CheckpointManager::load_corpus_shard(std::uint64_t fingerprint,
-                                     std::size_t index,
-                                     walk::Corpus& out) const
-{
-    return load_checkpoint(
-        corpus_shard_path(index), fingerprint, "walk corpus shard",
-        [&](std::istream& in, std::uint64_t expected) {
-            std::uint64_t stored = 0;
-            walk::Corpus shard = walk::Corpus::load_binary(in, &stored);
-            if (stored != expected) {
-                return false;
-            }
-            out = std::move(shard);
-            return true;
-        });
-}
-
-void
-CheckpointManager::store_corpus_shard(std::uint64_t fingerprint,
-                                      std::size_t index,
-                                      const walk::Corpus& shard) const
-{
-    shard.save_binary_file(corpus_shard_path(index), fingerprint);
 }
 
 bool

@@ -35,14 +35,6 @@ struct ClassifierConfig; // core/link_prediction.hpp (includes this file)
 /// root of the checkpoint fingerprint chain.
 std::uint64_t fingerprint_edges(const graph::EdgeList& edges);
 
-/// Fingerprint of corpus shard @p index in a partition of
-/// @p num_shards: the walk fingerprint plus the shard's position, so
-/// changing the walk inputs OR the shard count invalidates every
-/// shard (ranges move when the partition changes).
-std::uint64_t shard_fingerprint(std::uint64_t walk_fingerprint,
-                                std::size_t index,
-                                std::size_t num_shards);
-
 /// Fold every semantically meaningful field of a configuration into a
 /// fingerprint, field by field (never whole structs — padding bytes are
 /// indeterminate). Fields that cannot change the produced artifact
@@ -80,16 +72,6 @@ class CheckpointManager
     bool load_corpus(std::uint64_t fingerprint, walk::Corpus& out) const;
     void store_corpus(std::uint64_t fingerprint,
                       const walk::Corpus& corpus) const;
-
-    /// Corpus-shard artifacts for the overlapped front end: each shard
-    /// is its own file (corpus_shard_<i>.tgla) in the corpus container
-    /// format, so a run killed mid-walk resumes producing only the
-    /// missing shards. Key with shard_fingerprint().
-    std::string corpus_shard_path(std::size_t index) const;
-    bool load_corpus_shard(std::uint64_t fingerprint, std::size_t index,
-                           walk::Corpus& out) const;
-    void store_corpus_shard(std::uint64_t fingerprint, std::size_t index,
-                            const walk::Corpus& shard) const;
 
     /// The prefix-CDF transition cache is a derived artifact (O(E)
     /// doubles, O(E·exp) to rebuild) keyed by graph + transition kind

@@ -1,7 +1,5 @@
 #include "core/pipeline.hpp"
 
-#include "core/overlap.hpp"
-#include "embed/streaming_trainer.hpp"
 #include "graph/builder.hpp"
 #include "obs/perf_events.hpp"
 #include "obs/trace.hpp"
@@ -12,7 +10,6 @@
 #include "util/timer.hpp"
 
 #include <chrono>
-#include <cmath>
 #include <optional>
 
 namespace tgl::core {
@@ -36,54 +33,7 @@ PipelineConfig::validate() const
         problems.push_back(
             "w2v_batch_size must be >= 1 in batched word2vec mode");
     }
-    if (!(watchdog_timeout_seconds >= 0.0) ||
-        !std::isfinite(watchdog_timeout_seconds)) {
-        problems.push_back(
-            "watchdog_timeout_seconds must be finite and >= 0");
-    }
-    if (overlap == OverlapMode::kOn) {
-        // kAuto degrades to sequential on these; an explicit kOn is a
-        // configuration error.
-        if (w2v_mode != W2vMode::kHogwild) {
-            problems.push_back(
-                "overlap=on requires the Hogwild word2vec mode (the "
-                "batched trainer consumes the whole corpus at once)");
-        }
-        for (const std::string& problem :
-             embed::streaming_unsupported(sgns)) {
-            problems.push_back("overlap=on is unsupported: " + problem);
-        }
-    }
     return problems;
-}
-
-std::optional<OverlapMode>
-parse_overlap_mode(std::string_view text)
-{
-    if (text == "off") {
-        return OverlapMode::kOff;
-    }
-    if (text == "on") {
-        return OverlapMode::kOn;
-    }
-    if (text == "auto") {
-        return OverlapMode::kAuto;
-    }
-    return std::nullopt;
-}
-
-const char*
-overlap_mode_name(OverlapMode mode)
-{
-    switch (mode) {
-    case OverlapMode::kOff:
-        return "off";
-    case OverlapMode::kOn:
-        return "on";
-    case OverlapMode::kAuto:
-        return "auto";
-    }
-    return "off";
 }
 
 namespace {
@@ -217,7 +167,6 @@ run_front_end(const graph::EdgeList& edges, const PipelineConfig& config,
     if (checkpoints != nullptr &&
         checkpoints->load_corpus(fingerprints.walk, corpus)) {
         result.checkpoints.corpus_loaded = true;
-        result.overlap.decision = "off: corpus resumed from checkpoint";
     } else {
         // The prefix-CDF table is itself a resumable artifact: it is
         // keyed only by the graph and transition kind, so a run that
@@ -240,51 +189,6 @@ run_front_end(const graph::EdgeList& edges, const PipelineConfig& config,
                 }
             }
             cache_ptr = &cache;
-        }
-
-        const OverlapPlan plan = plan_overlap(graph, config);
-        result.overlap.decision = plan.decision;
-        if (plan.enabled) {
-            // Fused walk+word2vec region: both phases run concurrently
-            // and the overlap layer records their trace spans with the
-            // true (overlapping) windows. Cache setup above counts
-            // toward the walk side, like in the sequential path.
-            const double cache_seconds = timer.seconds();
-            OverlapFrontEnd fused = run_overlapped_front_end(
-                graph, config, cache_ptr, plan, checkpoints,
-                fingerprints.walk);
-            result.checkpoints.corpus_shards_loaded =
-                fused.shards_loaded;
-            result.checkpoints.corpus_shards_stored =
-                fused.shards_stored;
-            if (checkpoints != nullptr) {
-                // Also persist the assembled corpus so later runs
-                // (overlapped or not) resume without reassembly.
-                checkpoints->store_corpus(fingerprints.walk,
-                                          fused.corpus);
-                result.checkpoints.corpus_stored = true;
-            }
-            walk::accumulate_profile(result.walk_profile,
-                                     fused.walk_profile);
-            result.w2v_stats = fused.train_stats;
-            result.overlap = fused.stats;
-            result.times.random_walk =
-                cache_seconds + fused.walk_seconds;
-            result.times.word2vec = fused.w2v_seconds;
-            result.times.walk_w2v_wall =
-                cache_seconds + fused.wall_seconds;
-            result.corpus_walks = fused.corpus.num_walks();
-            result.corpus_tokens = fused.corpus.num_tokens();
-            util::fault_point("pipeline.after-walk");
-
-            embedding = std::move(fused.embedding);
-            if (checkpoints != nullptr) {
-                checkpoints->store_embedding(fingerprints.embed,
-                                             embedding);
-                result.checkpoints.embedding_stored = true;
-            }
-            util::fault_point("pipeline.after-word2vec");
-            return embedding;
         }
 
         corpus = walk::generate_walks(graph, config.walk, cache_ptr,
@@ -480,7 +384,7 @@ run_pipeline(const gen::Dataset& dataset, const PipelineConfig& config)
 std::string
 format_phase_times(const PhaseTimes& times)
 {
-    std::string line = util::strcat(
+    return util::strcat(
         "build ", util::format_fixed(times.build_graph, 3), "s | rwalk ",
         util::format_fixed(times.random_walk, 3), "s | word2vec ",
         util::format_fixed(times.word2vec, 3), "s | prep ",
@@ -488,12 +392,6 @@ format_phase_times(const PhaseTimes& times)
         util::format_fixed(times.train, 3), "s (",
         util::format_fixed(times.train_per_epoch, 3), "s/epoch) | test ",
         util::format_fixed(times.test, 3), "s");
-    if (times.walk_w2v_wall > 0.0) {
-        line += util::strcat(" | walk+w2v wall ",
-                             util::format_fixed(times.walk_w2v_wall, 3),
-                             "s (overlapped)");
-    }
-    return line;
 }
 
 } // namespace tgl::core

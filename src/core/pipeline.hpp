@@ -12,9 +12,7 @@
 #include "gen/catalog.hpp"
 #include "walk/engine.hpp"
 
-#include <optional>
 #include <string>
-#include <string_view>
 
 namespace tgl::core {
 
@@ -23,36 +21,6 @@ enum class W2vMode
 {
     kHogwild, ///< the paper's CPU implementation
     kBatched, ///< the paper's GPU execution model (see batched_trainer)
-};
-
-/// Whether the walk and word2vec phases run overlapped (sharded walk
-/// producers feeding the streaming Hogwild trainer, core/overlap.hpp)
-/// or strictly back-to-back.
-enum class OverlapMode
-{
-    kOff,  ///< sequential phases (the paper's execution model)
-    kOn,   ///< always overlap; invalid for incompatible configs
-    kAuto, ///< overlap when phase cost estimates are within 4x and the
-           ///< configuration is compatible, else fall back to kOff
-};
-
-/// Parse "on"/"off"/"auto" (case-sensitive); nullopt on anything else.
-std::optional<OverlapMode> parse_overlap_mode(std::string_view text);
-
-/// "on"/"off"/"auto".
-const char* overlap_mode_name(OverlapMode mode);
-
-/// Execution statistics of the overlapped front end (all zero when the
-/// phases ran sequentially).
-struct OverlapStats
-{
-    bool used = false;
-    std::size_t shards = 0;
-    std::size_t max_queue_depth = 0;
-    double producer_stall_seconds = 0.0;
-    double consumer_stall_seconds = 0.0;
-    /// Why overlap was or wasn't used (the auto decision trace).
-    std::string decision;
 };
 
 /// All pipeline hyperparameters. Defaults are the paper's optimal
@@ -66,25 +34,12 @@ struct PipelineConfig
     SplitConfig split;
     ClassifierConfig classifier;
     bool symmetrize_graph = true;
-    /// Overlapped walk→word2vec execution. The library default stays
-    /// kOff (sequential, byte-stable with earlier releases); tgl_cli
-    /// passes kAuto.
-    OverlapMode overlap = OverlapMode::kOff;
-    /// Corpus shards for overlapped execution; 0 sizes the partition
-    /// automatically from the thread count.
-    std::size_t overlap_shards = 0;
     /// Directory for crash-safe phase checkpoints (empty disables
     /// checkpointing). On restart, artifacts whose fingerprints match
     /// the current configuration and input are reloaded and their
     /// phases skipped; stale or corrupt artifacts are regenerated
     /// (corrupt ones quarantined as *.corrupt.<ts>).
     std::string checkpoint_dir;
-    /// Stall-watchdog deadline for the overlapped front end, in
-    /// seconds: when the shard queue and worker phase board make no
-    /// progress for this long, the run dumps per-thread state and
-    /// fails with a resumable checkpoint instead of hanging.
-    /// 0 disables the watchdog.
-    double watchdog_timeout_seconds = 0.0;
 
     /// All configuration problems across every sub-config, each
     /// prefixed with its section ("walk.", "sgns.", ...). The pipeline
@@ -103,20 +58,12 @@ struct PhaseTimes
     double train = 0.0;
     double train_per_epoch = 0.0;
     double test = 0.0;
-    /// Measured wall clock of the fused walk+word2vec region when the
-    /// phases ran overlapped (0 when sequential). With overlap on,
-    /// random_walk and word2vec report the per-phase busy windows,
-    /// which together EXCEED this wall time — that gap is the overlap
-    /// win, and total() uses the wall time.
-    double walk_w2v_wall = 0.0;
 
     double
     total() const
     {
-        const double front = walk_w2v_wall > 0.0
-                                 ? walk_w2v_wall
-                                 : random_walk + word2vec;
-        return build_graph + front + data_prep + train + test;
+        return build_graph + random_walk + word2vec + data_prep + train +
+               test;
     }
 };
 
@@ -126,10 +73,6 @@ struct CheckpointStatus
 {
     bool corpus_loaded = false;
     bool corpus_stored = false;
-    /// Overlapped runs checkpoint per shard instead of (in addition
-    /// to) the assembled corpus.
-    unsigned corpus_shards_loaded = 0;
-    unsigned corpus_shards_stored = 0;
     bool cache_loaded = false;
     bool cache_stored = false;
     bool embedding_loaded = false;
@@ -152,7 +95,6 @@ struct PipelineResult
     walk::WalkProfile walk_profile;
     embed::TrainStats w2v_stats;
     CheckpointStatus checkpoints;
-    OverlapStats overlap;
     std::size_t corpus_walks = 0;
     std::size_t corpus_tokens = 0;
     graph::NodeId num_nodes = 0;

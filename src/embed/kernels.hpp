@@ -1,12 +1,12 @@
 /// @file
 /// SGNS kernel backends: one interface over the inner loops shared by
-/// the Hogwild, batched, and streaming trainers.
+/// the Hogwild and batched trainers.
 ///
 /// The paper attributes most of the GPU word2vec speedup to coalesced
 /// vector access, parallel reduction, and batched sigmoid evaluation
 /// (SV-B). On the CPU those map onto SIMD dot/axpy kernels plus a
 /// vectorized sigmoid-LUT gather; this header names that contract so
-/// the three trainers share exactly one implementation of the hot loop
+/// the two trainers share exactly one implementation of the hot loop
 /// and a future GPU/ISPC backend can slot in without touching them.
 ///
 /// The hot loop is one op, update_pair: a whole (context, positive,

@@ -101,13 +101,6 @@ NegativeTable::NegativeTable(const std::vector<std::uint64_t>& counts,
                 alias_, array_);
 }
 
-NegativeTable::NegativeTable(const std::vector<double>& weights,
-                             NegativeTableKind kind, std::size_t array_size)
-    : kind_(kind)
-{
-    build_table(weights, kind_, array_size, alias_, array_);
-}
-
 double
 NegativeTable::probability(WordId w) const
 {

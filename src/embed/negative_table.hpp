@@ -32,19 +32,10 @@ class NegativeTable
                            std::size_t array_size = 1 << 22);
 
     /// Build from raw occurrence counts indexed by word id (count^0.75
-    /// weighting, like the vocab constructor). Words with zero count
-    /// get zero probability; at least one count must be positive. The
-    /// streaming trainer uses this with node ids as word ids, where
-    /// exact counts are accumulated shard-by-shard and no Vocab is ever
-    /// materialized.
+    /// weighting, like the vocab constructor), for callers that count
+    /// tokens without materializing a Vocab. Words with zero count get
+    /// zero probability; at least one count must be positive.
     explicit NegativeTable(const std::vector<std::uint64_t>& counts,
-                           NegativeTableKind kind = NegativeTableKind::kAlias,
-                           std::size_t array_size = 1 << 22);
-
-    /// Build from explicit sampling weights (used verbatim — the caller
-    /// applies any exponent). The streaming trainer's epoch-0 prior,
-    /// (out_degree+1)^0.75 from the CSR, enters through here.
-    explicit NegativeTable(const std::vector<double>& weights,
                            NegativeTableKind kind = NegativeTableKind::kAlias,
                            std::size_t array_size = 1 << 22);
 

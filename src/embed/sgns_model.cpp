@@ -221,21 +221,6 @@ SgnsModel::all_finite() const
 }
 
 Embedding
-SgnsModel::to_embedding(graph::NodeId num_nodes) const
-{
-    TGL_ASSERT(vocab_size_ >= num_nodes);
-    Embedding embedding(num_nodes, dim_);
-    for (graph::NodeId node = 0; node < num_nodes; ++node) {
-        auto out = embedding.row(node);
-        const float* in = input_row(static_cast<WordId>(node));
-        for (unsigned i = 0; i < dim_; ++i) {
-            out[i] = in[i];
-        }
-    }
-    return embedding;
-}
-
-Embedding
 SgnsModel::to_embedding(const Vocab& vocab, graph::NodeId num_nodes) const
 {
     Embedding embedding(num_nodes, dim_);

@@ -68,10 +68,9 @@ class SgnsModel
   public:
     SgnsModel(const Vocab& vocab, const SgnsConfig& config);
 
-    /// Identity word space: word id == node id, sized for the full CSR
-    /// node range. This is how the streaming (overlapped) trainer sizes
-    /// the model before a single walk exists — the node-id space is
-    /// known a priori from the graph, only the counts are not.
+    /// A model of @p vocab_size rows with word2vec's initialization.
+    /// The Vocab constructor delegates here; callers that have no
+    /// Vocab size the model directly.
     SgnsModel(std::size_t vocab_size, const SgnsConfig& config);
 
     unsigned dim() const { return dim_; }
@@ -100,9 +99,6 @@ class SgnsModel
     /// outside the vocabulary).
     Embedding to_embedding(const Vocab& vocab,
                            graph::NodeId num_nodes) const;
-
-    /// Identity-word-space variant: row w is node w's vector.
-    Embedding to_embedding(graph::NodeId num_nodes) const;
 
     /// True when every parameter is finite — the trainers' per-epoch
     /// divergence screen (a too-large alpha drives Hogwild updates to

@@ -142,8 +142,10 @@ TraceSession::to_chrome_json() const
                 if (a != 0) {
                     out += ", ";
                 }
-                out += "\"" + util::json_escape(event.args[a].first) +
-                       "\": " + format_arg_value(event.args[a].second);
+                out += "\"";
+                out += util::json_escape(event.args[a].first);
+                out += "\": ";
+                out += format_arg_value(event.args[a].second);
             }
             out += "}";
         }

@@ -11,14 +11,14 @@ DiscreteSampler::DiscreteSampler(const std::vector<double>& weights)
     if (weights.empty()) {
         util::fatal("DiscreteSampler: empty weight vector");
     }
-    cdf_.resize(weights.size());
+    cdf_.reserve(weights.size());
     double running = 0.0;
     for (std::size_t i = 0; i < weights.size(); ++i) {
         if (weights[i] < 0.0) {
             util::fatal("DiscreteSampler: negative weight");
         }
         running += weights[i];
-        cdf_[i] = running;
+        cdf_.push_back(running);
     }
     if (running <= 0.0) {
         util::fatal("DiscreteSampler: all weights are zero");

@@ -29,7 +29,6 @@
 #include "util/string_util.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
-#include "util/watchdog.hpp"
 
 // rng: generators and samplers
 #include "rng/alias_table.hpp"
@@ -111,5 +110,4 @@
 // profiling: workload characterization substrate
 #include "profiling/comparison_kernels.hpp"
 #include "profiling/op_counters.hpp"
-#include "profiling/phase_timer.hpp"
 #include "profiling/stall_model.hpp"

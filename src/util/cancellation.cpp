@@ -93,10 +93,4 @@ install_signal_handlers()
            std::signal(SIGTERM, handle_cancel_signal) != SIG_ERR;
 }
 
-int
-cancellation_signal()
-{
-    return static_cast<int>(g_signal);
-}
-
 } // namespace tgl::util

@@ -1,11 +1,11 @@
 /// @file
 /// Process-wide cooperative cancellation.
 ///
-/// One global flag, set by SIGINT/SIGTERM handlers or programmatically
-/// (the stall watchdog uses it to unwedge blocked workers). Long-running
-/// phases poll it at safe points — phase boundaries, epoch loops, the
-/// overlap producer loop — and throw Cancelled, which unwinds through
-/// the pipeline leaving every already-flushed checkpoint intact. The
+/// One global flag, set by SIGINT/SIGTERM handlers or programmatically.
+/// Long-running phases poll it at safe points — phase boundaries and
+/// epoch loops — and throw Cancelled, which unwinds through the
+/// pipeline leaving every already-flushed checkpoint intact. An
+/// injected failpoint delay polls it too and ends its sleep early. The
 /// artifact write paths deliberately do NOT poll, so an interrupt never
 /// strands a half-written artifact: the in-flight store finishes (it is
 /// atomic temp+rename anyway) and the run stops at the next boundary.
@@ -37,9 +37,5 @@ void check_cancellation(const char* where);
 /// handler body is async-signal-safe (stores one sig_atomic_t). Safe
 /// to call more than once. Returns false if installation failed.
 bool install_signal_handlers();
-
-/// Signal number that triggered cancellation, or 0 if cancellation was
-/// requested programmatically (or not at all).
-int cancellation_signal();
 
 } // namespace tgl::util

@@ -33,7 +33,7 @@ class TransientError : public Error
     explicit TransientError(const std::string& what) : Error(what) {}
 };
 
-/// Cooperative-cancellation signal (SIGINT/SIGTERM, stall watchdog).
+/// Cooperative-cancellation signal (SIGINT/SIGTERM).
 /// Distinct from Error recovery paths: checkpoint loaders and retry
 /// loops must always propagate it instead of degrading or retrying.
 class Cancelled : public Error

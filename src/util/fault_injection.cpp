@@ -30,7 +30,6 @@ struct Site
     rng::SplitMix64 rng{0};
     std::uint64_t hits = 0;
     bool active = true;
-    bool legacy = false;
     obs::Counter counter;
 };
 
@@ -263,8 +262,8 @@ fault_point(const char* site)
     }
 
     // kDelay: sleep outside the lock, in slices, so cancellation or a
-    // reconfiguration (the watchdog's recovery path clears failpoints)
-    // cuts a simulated stall short instead of wedging the worker.
+    // reconfiguration (clear() included) cuts a simulated stall short
+    // instead of wedging the worker.
     constexpr std::chrono::milliseconds kSlice{5};
     std::chrono::milliseconds left = delay;
     while (left.count() > 0) {
@@ -346,64 +345,6 @@ std::uint64_t
 FailpointRegistry::generation()
 {
     return g_generation.load(std::memory_order_relaxed);
-}
-
-void
-FaultInjector::arm(const std::string& site, std::uint64_t nth)
-{
-    TGL_ASSERT(nth >= 1);
-    Site armed;
-    armed.kind = Kind::kError;
-    armed.nth = nth;
-    armed.legacy = true;
-    armed.counter =
-        obs::Registry::global().counter(strcat("failpoint.", site, ".hits"));
-
-    std::lock_guard<std::mutex> lock(g_mutex);
-    // Re-arming replaces any previous legacy site (configure()d chaos
-    // schedules are left alone — tests may layer the two).
-    for (auto it = g_sites.begin(); it != g_sites.end();) {
-        if (it->second.legacy) {
-            if (it->second.active) {
-                g_active_sites.fetch_sub(1, std::memory_order_relaxed);
-            }
-            it = g_sites.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    g_sites[site] = armed;
-    g_active_sites.fetch_add(1, std::memory_order_relaxed);
-    g_generation.fetch_add(1, std::memory_order_relaxed);
-}
-
-void
-FaultInjector::disarm()
-{
-    std::lock_guard<std::mutex> lock(g_mutex);
-    for (auto it = g_sites.begin(); it != g_sites.end();) {
-        if (it->second.legacy) {
-            if (it->second.active) {
-                g_active_sites.fetch_sub(1, std::memory_order_relaxed);
-            }
-            it = g_sites.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    g_generation.fetch_add(1, std::memory_order_relaxed);
-}
-
-std::uint64_t
-FaultInjector::hits()
-{
-    std::lock_guard<std::mutex> lock(g_mutex);
-    for (const auto& [name, site] : g_sites) {
-        if (site.legacy) {
-            return site.hits;
-        }
-    }
-    return 0;
 }
 
 FailAfterStreambuf::int_type

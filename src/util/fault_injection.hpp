@@ -4,8 +4,8 @@
 /// Production code marks interesting failure boundaries with
 /// fault_point("site"); the call is a single relaxed atomic load unless
 /// at least one site is armed. Sites are armed either programmatically
-/// (FailpointRegistry::configure / the legacy FaultInjector test API)
-/// or at process start from the TGL_FAILPOINTS environment variable.
+/// (FailpointRegistry::configure) or at process start from the
+/// TGL_FAILPOINTS environment variable.
 ///
 /// Spec grammar (';'-separated entries):
 ///
@@ -20,7 +20,7 @@
 ///               :p=<float>        fire each hit with probability p
 ///                                 (seeded RNG, deterministic)
 ///
-/// Example: "artifact_io.write=error@3;shard_queue.pop=delay:50ms;
+/// Example: "artifact_io.write=error@3;pipeline.after-walk=delay:50ms;
 ///           checkpoint.load=corrupt:p=0.1"
 ///
 /// Every armed site exports a `failpoint.<site>.hits` counter through
@@ -81,7 +81,7 @@ class FailpointRegistry
     /// library, so tests stay hermetic.
     static void configure_from_env();
 
-    /// Disarm every site (legacy FaultInjector sites included).
+    /// Disarm every site.
     static void clear();
 
     /// True if any site is currently armed.
@@ -96,25 +96,8 @@ class FailpointRegistry
 
     /// Bumped on every configure()/clear(). In-flight delay actions
     /// poll it and cut their sleep short when the configuration that
-    /// scheduled them is gone — this is how the watchdog's recovery
-    /// path unwedges a simulated stall.
+    /// scheduled them is gone, so disarming ends a simulated stall.
     static std::uint64_t generation();
-};
-
-/// Legacy single-site test API, now a thin wrapper over the registry:
-/// arm(site, n) == configure entry "site=error@n" (plus hit counting).
-class FaultInjector
-{
-  public:
-    /// Arm @p site: the @p nth future hit throws (1 = next hit).
-    /// Re-arming replaces any previous site. Auto-disarms after firing.
-    static void arm(const std::string& site, std::uint64_t nth = 1);
-
-    /// Remove any armed site.
-    static void disarm();
-
-    /// Hits recorded against the armed site since the last arm().
-    static std::uint64_t hits();
 };
 
 /// streambuf decorator that forwards up to @p limit bytes to the

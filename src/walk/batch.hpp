@@ -17,7 +17,7 @@
 ///     [s, s+width) is exactly slot s+L, seeds its own RNG stream as
 ///     mix_seed(seed, s+L), and consumes draws only for its own steps.
 ///     The corpus for a given (config, graph, width) is therefore
-///     bit-identical for ANY thread count and ANY shard partition.
+///     bit-identical for ANY thread count and ANY grouping of slots.
 ///   - batch_width == 1 never enters this module; the engine routes it
 ///     through the unchanged scalar path, byte-identical to the
 ///     pre-batching engine.

@@ -93,14 +93,4 @@ class Corpus
     std::vector<std::size_t> offsets_; // size num_walks()+1, first is 0
 };
 
-/// One slice of the walk corpus produced by sharded generation
-/// (engine.hpp) — the unit flowing through the overlap queue. Shards
-/// cover contiguous walk-slot ranges; concatenating them in ascending
-/// @ref index reproduces the sequential corpus exactly.
-struct CorpusShard
-{
-    std::size_t index = 0; ///< shard number in [0, num_shards)
-    Corpus walks;
-};
-
 } // namespace tgl::walk

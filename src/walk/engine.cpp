@@ -140,8 +140,7 @@ run_edge_start_walk(const graph::TemporalGraph& graph,
 }
 
 /// Walk one slot into @p tokens, deriving the slot's RNG stream from
-/// the base seed — the seeding contract shared by the block-parallel
-/// and the sharded generation paths.
+/// the base seed — the seeding contract the batched lanes share.
 std::size_t
 walk_slot(const graph::TemporalGraph& graph, const WalkConfig& config,
           const TransitionCache* cache, std::size_t slot_index,
@@ -197,20 +196,6 @@ total_walk_slots(const graph::TemporalGraph& graph,
            config.walks_per_node;
 }
 
-SlotRange
-walk_shard_range(std::size_t total_slots, std::size_t num_shards,
-                 std::size_t index)
-{
-    TGL_ASSERT(num_shards > 0 && index < num_shards);
-    const std::size_t base = total_slots / num_shards;
-    const std::size_t extra = total_slots % num_shards;
-    // The first `extra` shards take base+1 slots each.
-    const std::size_t begin =
-        index * base + std::min<std::size_t>(index, extra);
-    const std::size_t size = base + (index < extra ? 1 : 0);
-    return {begin, begin + size};
-}
-
 std::size_t
 expected_tokens_per_walk(const WalkConfig& config)
 {
@@ -247,68 +232,6 @@ report_walk_metrics(const WalkProfile& totals)
     registry.counter("walk.dead_ends").add(totals.dead_ends);
     registry.counter("walk.candidates_scanned")
         .add(totals.candidates_scanned);
-}
-
-Corpus
-generate_walk_shard(const graph::TemporalGraph& graph,
-                    const WalkConfig& config, const TransitionCache* cache,
-                    SlotRange slots, WalkProfile* profile)
-{
-    validate_walk_inputs(graph, config, "generate_walk_shard");
-    TGL_ASSERT(slots.begin <= slots.end);
-
-    const std::size_t tokens_per_walk =
-        static_cast<std::size_t>(config.max_length) + 1;
-    Corpus shard;
-    shard.reserve(slots.size(),
-                  slots.size() * expected_tokens_per_walk(config));
-
-    // Shards run on overlap-producer threads; the scope attributes
-    // their work to the same "walk" phase as the block-parallel path.
-    obs::PerfScope perf_scope("walk");
-
-    WalkProfile local;
-    const unsigned batch_width =
-        resolve_batch_width(config, graph, cache != nullptr);
-    if (batch_width > 1) {
-        log_batch_dispatch(batch_width);
-        // Lanes are fully independent (per-slot RNG streams), so
-        // grouping relative to the shard start reproduces exactly the
-        // per-slot tokens of any other partition of the same slots.
-        const std::size_t group = batch_width * kBatchRefillFactor;
-        std::vector<graph::NodeId> rows(group * tokens_per_walk);
-        std::vector<std::uint8_t> lens(group);
-        for (std::size_t begin = slots.begin; begin < slots.end;
-             begin += group) {
-            const std::size_t end = std::min(slots.end, begin + group);
-            run_walk_batch(graph, config, cache, {begin, end},
-                           batch_width, rows.data(), tokens_per_walk,
-                           lens.data(), local);
-            for (std::size_t i = 0; i < end - begin; ++i) {
-                if (lens[i] >= config.min_walk_tokens) {
-                    shard.add_walk(
-                        {rows.data() + i * tokens_per_walk, lens[i]});
-                }
-            }
-        }
-    } else {
-        std::vector<graph::NodeId> buffer(tokens_per_walk);
-        std::vector<std::uint32_t> scratch;
-        for (std::size_t slot_index = slots.begin;
-             slot_index < slots.end; ++slot_index) {
-            const std::size_t len =
-                walk_slot(graph, config, cache, slot_index, buffer.data(),
-                          scratch, local);
-            if (len >= config.min_walk_tokens) {
-                shard.add_walk({buffer.data(), len});
-            }
-        }
-    }
-    local.walks_kept = shard.num_walks();
-    if (profile != nullptr) {
-        accumulate_profile(*profile, local);
-    }
-    return shard;
 }
 
 Corpus

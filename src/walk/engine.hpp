@@ -68,7 +68,8 @@ Corpus generate_walks(const graph::TemporalGraph& graph,
 std::size_t total_walk_slots(const graph::TemporalGraph& graph,
                              const WalkConfig& config);
 
-/// Contiguous slot range [begin, end) — the unit of sharded generation.
+/// Contiguous slot range [begin, end) — the unit one batched lane pool
+/// walks (run_walk_batch).
 struct SlotRange
 {
     std::size_t begin = 0;
@@ -77,27 +78,11 @@ struct SlotRange
     std::size_t size() const { return end - begin; }
 };
 
-/// Slot range of shard @p index out of @p num_shards, distributing
-/// @p total_slots as evenly as possible (shard sizes differ by <= 1).
-SlotRange walk_shard_range(std::size_t total_slots,
-                           std::size_t num_shards, std::size_t index);
-
 /// Expected tokens per walk for pre-sizing corpus storage. Real
 /// temporal walks terminate early (Fig. 4: most are 1-5 tokens), so
 /// this caps the optimistic max_length+1 estimate instead of reserving
 /// the worst case.
 std::size_t expected_tokens_per_walk(const WalkConfig& config);
-
-/// Serially generate the corpus shard covering @p slots. Per-slot RNG
-/// seeding matches generate_walks, so concatenating every shard of a
-/// partition in ascending index order reproduces the sequential corpus
-/// bit-for-bit. Unlike generate_walks this emits NO registry metrics —
-/// the overlap layer folds per-shard profiles and reports once via
-/// report_walk_metrics.
-Corpus generate_walk_shard(const graph::TemporalGraph& graph,
-                           const WalkConfig& config,
-                           const TransitionCache* cache, SlotRange slots,
-                           WalkProfile* profile = nullptr);
 
 /// Fold @p from into @p into (all counters, including walks_kept).
 void accumulate_profile(WalkProfile& into, const WalkProfile& from);

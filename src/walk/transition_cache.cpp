@@ -85,7 +85,7 @@ TransitionCache::build(const graph::TemporalGraph& graph,
         return cache; // uniform / linear need no per-edge state
     }
 
-    cache.prefix_.resize(graph.num_edges());
+    cache.prefix_.assign(graph.num_edges(), 0.0);
     const std::vector<graph::Neighbor>& neighbors = graph.neighbors();
     const std::vector<graph::EdgeId>& offsets = graph.offsets();
     const double r = cache.rate_scale_;

@@ -2,8 +2,7 @@
 /// schedules. The invariant under test is the PR's acceptance bar —
 /// every chaos run either completes with artifacts bit-identical to a
 /// fault-free run, or fails cleanly with a checkpoint from which a
-/// resumed run converges. Also unit-covers the stall watchdog, the
-/// phase board, and cooperative cancellation.
+/// resumed run converges. Also covers cooperative cancellation.
 ///
 /// Seeds are fixed (CI runs `ctest -L chaos` with TGL_CHAOS_SEED
 /// unset → all three) so failures reproduce exactly.
@@ -14,24 +13,18 @@
 #include "util/cancellation.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
-#include "util/watchdog.hpp"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace tgl::core {
 namespace {
-
-using namespace std::chrono_literals;
 
 std::string
 scratch_dir(const std::string& name)
@@ -275,60 +268,6 @@ TEST_F(ChaosTest, CorruptCheckpointQuarantinedAndRegenerated)
     std::filesystem::remove_all(dir);
 }
 
-TEST_F(ChaosTest, WatchdogFailsStalledOverlapRunThenResumes)
-{
-    const std::string dir = scratch_dir("watchdog_stall");
-    const graph::EdgeList edges = test_edges();
-    PipelineConfig config = test_config();
-    config.checkpoint_dir = dir;
-    config.overlap = OverlapMode::kOn;
-    config.watchdog_timeout_seconds = 0.4;
-    ASSERT_TRUE(config.validate().empty());
-
-    // Wedge the consumer: the first shard pop sleeps far past the
-    // deadline (interruptibly — the watchdog's cancellation wakes it).
-    util::FailpointRegistry::configure("shard_queue.pop=delay:60000ms@1");
-    try {
-        run_link_prediction_pipeline(edges, config);
-        FAIL() << "the stalled run must not complete";
-    } catch (const util::Error& error) {
-        const std::string what = error.what();
-        EXPECT_NE(what.find("stall watchdog"), std::string::npos) << what;
-        EXPECT_NE(what.find("resumable checkpoint"), std::string::npos)
-            << what;
-        // The report carries per-worker phase state and queue stats.
-        EXPECT_NE(what.find("trainer"), std::string::npos) << what;
-        EXPECT_NE(what.find("queue"), std::string::npos) << what;
-    }
-    util::FailpointRegistry::clear();
-    // The watchdog's own cancellation request must not leak into the
-    // next run.
-    EXPECT_FALSE(util::cancellation_requested());
-
-    // Same process, same config, fault gone: the rerun converges.
-    const PipelineResult resumed =
-        run_link_prediction_pipeline(edges, config);
-    EXPECT_GT(resumed.corpus_walks, 0u);
-    std::filesystem::remove_all(dir);
-}
-
-TEST_F(ChaosTest, WatchdogStaysQuietOnHealthyOverlapRun)
-{
-    const std::string dir = scratch_dir("watchdog_quiet");
-    const graph::EdgeList edges = test_edges();
-    PipelineConfig config = test_config();
-    config.checkpoint_dir = dir;
-    config.overlap = OverlapMode::kOn;
-    config.watchdog_timeout_seconds = 30.0;
-
-    const PipelineResult result =
-        run_link_prediction_pipeline(edges, config);
-    EXPECT_TRUE(result.overlap.used);
-    EXPECT_GT(result.corpus_walks, 0u);
-    EXPECT_FALSE(util::cancellation_requested());
-    std::filesystem::remove_all(dir);
-}
-
 TEST_F(ChaosTest, CancellationStopsAtPhaseBoundaryWithCheckpoints)
 {
     const std::string dir = scratch_dir("cancel");
@@ -349,84 +288,6 @@ TEST_F(ChaosTest, CancellationStopsAtPhaseBoundaryWithCheckpoints)
         run_link_prediction_pipeline(edges, config);
     EXPECT_TRUE(resumed.checkpoints.classifier_stored);
     std::filesystem::remove_all(dir);
-}
-
-TEST_F(ChaosTest, ValidateRejectsBadWatchdogTimeout)
-{
-    PipelineConfig config = test_config();
-    config.watchdog_timeout_seconds = -1.0;
-    EXPECT_FALSE(config.validate().empty());
-    config.watchdog_timeout_seconds = 0.0;
-    EXPECT_TRUE(config.validate().empty());
-}
-
-TEST(PhaseBoard, DumpsSortedWorkerStates)
-{
-    util::PhaseBoard board;
-    EXPECT_EQ(board.version(), 0u);
-    board.set("worker-2", "idle");
-    board.set("worker-1", "pushing shard 3");
-    board.set("worker-2", "done");
-    EXPECT_EQ(board.version(), 3u);
-    EXPECT_EQ(board.dump(),
-              "  worker-1: pushing shard 3\n  worker-2: done\n");
-}
-
-TEST(StallWatchdogUnit, FiresWithinDeadlineOnNoProgress)
-{
-    util::StallWatchdog::Options options;
-    options.deadline = 100ms;
-    options.poll = 10ms;
-    options.name = "unit";
-    std::atomic<unsigned> stalls{0};
-    const auto begin = std::chrono::steady_clock::now();
-    util::StallWatchdog watchdog(
-        options, [] { return std::uint64_t{7}; },
-        [] { return std::string("  worker: wedged\n"); },
-        [&](const std::string&) { stalls.fetch_add(1); });
-    while (!watchdog.fired() &&
-           std::chrono::steady_clock::now() - begin < 5s) {
-        std::this_thread::sleep_for(5ms);
-    }
-    const auto elapsed = std::chrono::steady_clock::now() - begin;
-    ASSERT_TRUE(watchdog.fired());
-    // Detection latency: deadline + at most a few polls of slack.
-    EXPECT_LT(elapsed, 1s);
-    EXPECT_EQ(stalls.load(), 1u);
-    const std::string report = watchdog.report();
-    EXPECT_NE(report.find("unit"), std::string::npos) << report;
-    EXPECT_NE(report.find("worker: wedged"), std::string::npos) << report;
-    EXPECT_NE(report.find("no progress"), std::string::npos) << report;
-}
-
-TEST(StallWatchdogUnit, NeverFiresWhileProgressAdvances)
-{
-    util::StallWatchdog::Options options;
-    options.deadline = 60ms;
-    options.poll = 10ms;
-    std::atomic<std::uint64_t> progress{0};
-    util::StallWatchdog watchdog(
-        options,
-        // Each sample observes an advance: permanent liveness.
-        [&] { return progress.fetch_add(1) + 1; },
-        [] { return std::string(); }, [](const std::string&) {});
-    std::this_thread::sleep_for(250ms);
-    watchdog.stop();
-    EXPECT_FALSE(watchdog.fired());
-    EXPECT_TRUE(watchdog.report().empty());
-}
-
-TEST(StallWatchdogUnit, StopBeforeDeadlinePreventsFiring)
-{
-    util::StallWatchdog::Options options;
-    options.deadline = 200ms;
-    options.poll = 10ms;
-    util::StallWatchdog watchdog(
-        options, [] { return std::uint64_t{0}; },
-        [] { return std::string(); }, [](const std::string&) {});
-    std::this_thread::sleep_for(50ms);
-    watchdog.stop();
-    EXPECT_FALSE(watchdog.fired());
 }
 
 } // namespace

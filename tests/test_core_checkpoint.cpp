@@ -231,10 +231,10 @@ TEST(PipelineResume, KillAfterWord2vecResumesSkippingBothPhases)
     // Run 1: killed right after the word2vec phase persisted its
     // artifact — the classifier never runs.
     config.checkpoint_dir = dir;
-    util::FaultInjector::arm("pipeline.after-word2vec");
+    util::FailpointRegistry::configure("pipeline.after-word2vec=error@1");
     EXPECT_THROW(run_link_prediction_pipeline(edges, config),
                  util::FaultInjected);
-    util::FaultInjector::disarm();
+    util::FailpointRegistry::clear();
 
     // Run 2: resumes from the embedding checkpoint; the walk and
     // word2vec phases never execute (their timers are never started).
@@ -273,10 +273,10 @@ TEST(PipelineResume, KillAfterWalkResumesCorpusOnly)
     PipelineConfig config = test_config();
     config.checkpoint_dir = dir;
 
-    util::FaultInjector::arm("pipeline.after-walk");
+    util::FailpointRegistry::configure("pipeline.after-walk=error@1");
     EXPECT_THROW(run_link_prediction_pipeline(edges, config),
                  util::FaultInjected);
-    util::FaultInjector::disarm();
+    util::FailpointRegistry::clear();
 
     const PipelineResult resumed =
         run_link_prediction_pipeline(edges, config);

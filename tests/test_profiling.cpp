@@ -1,8 +1,7 @@
-/// Tests for the profiling substrate: op counters, the stall model,
-/// phase timing, and the Fig. 3 comparison kernels.
+/// Tests for the profiling substrate: op counters, the stall model and
+/// the Fig. 3 comparison kernels.
 #include "profiling/comparison_kernels.hpp"
 #include "profiling/op_counters.hpp"
-#include "profiling/phase_timer.hpp"
 #include "profiling/stall_model.hpp"
 
 #include "gen/erdos_renyi.hpp"
@@ -216,30 +215,6 @@ TEST(StallModel, FormatSortsDescending)
     const auto pos_third = text.find("imc-miss");
     EXPECT_LT(pos_top, pos_second);
     EXPECT_LT(pos_second, pos_third);
-}
-
-TEST(PhaseTimer, AccumulatesAndOrders)
-{
-    PhaseTimer timer;
-    timer.add("walk", 1.0);
-    timer.add("w2v", 2.0);
-    timer.add("walk", 0.5);
-    EXPECT_DOUBLE_EQ(timer.seconds("walk"), 1.5);
-    EXPECT_DOUBLE_EQ(timer.seconds("w2v"), 2.0);
-    EXPECT_DOUBLE_EQ(timer.seconds("missing"), 0.0);
-    EXPECT_DOUBLE_EQ(timer.total(), 3.5);
-    ASSERT_EQ(timer.phases().size(), 2u);
-    EXPECT_EQ(timer.phases()[0].first, "walk");
-}
-
-TEST(PhaseTimer, MeasureReturnsValueAndRecords)
-{
-    PhaseTimer timer;
-    const int result = timer.measure("compute", [] { return 21 * 2; });
-    EXPECT_EQ(result, 42);
-    EXPECT_GE(timer.seconds("compute"), 0.0);
-    timer.measure("void-phase", [] {});
-    EXPECT_EQ(timer.phases().size(), 2u);
 }
 
 TEST(ComparisonKernels, BfsVisitsConnectedGraph)

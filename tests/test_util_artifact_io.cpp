@@ -3,6 +3,7 @@
 /// fault-injection primitives backing the robustness suite.
 #include "util/artifact_io.hpp"
 
+#include "util/cancellation.hpp"
 #include "util/error.hpp"
 #include "util/fault_injection.hpp"
 
@@ -12,8 +13,10 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace tgl::util {
@@ -229,11 +232,11 @@ TEST(AtomicWrite, InjectedFaultBeforeRenameLeavesOriginal)
     const std::string path =
         testing::TempDir() + "/tgl_atomic_fault_test.txt";
     atomic_write_file(path, [](std::ostream& out) { out << "original"; });
-    FaultInjector::arm("artifact_io.before-rename");
+    FailpointRegistry::configure("artifact_io.before-rename=error@1");
     EXPECT_THROW(atomic_write_file(
                      path, [](std::ostream& out) { out << "replacement"; }),
                  FaultInjected);
-    FaultInjector::disarm();
+    FailpointRegistry::clear();
     std::ifstream in(path);
     std::string content;
     std::getline(in, content);
@@ -264,24 +267,38 @@ TEST(FailAfterOStream, SavePathReportsStreamFailure)
     EXPECT_THROW(writer.finish(), Error);
 }
 
-TEST(FaultInjector, ArmsNthHitAndCountsHits)
-{
-    FaultInjector::arm("test.site", 3);
-    fault_point("other.site"); // different site: no effect
-    fault_point("test.site");
-    fault_point("test.site");
-    EXPECT_THROW(fault_point("test.site"), FaultInjected);
-    EXPECT_EQ(FaultInjector::hits(), 3u);
-    // Auto-disarmed after firing.
-    fault_point("test.site");
-    FaultInjector::disarm();
-}
-
 class FailpointRegistryTest : public testing::Test
 {
   protected:
-    void TearDown() override { FailpointRegistry::clear(); }
+    void
+    TearDown() override
+    {
+        FailpointRegistry::clear();
+        reset_cancellation();
+    }
 };
+
+/// Hit an armed 60 s delay site while another thread, once the sleep
+/// has begun, runs @p interrupt; returns how long the hit took.
+std::chrono::steady_clock::duration
+interrupted_delay(const std::function<void()>& interrupt)
+{
+    FailpointRegistry::configure("test.stall=delay:60000ms");
+    std::thread interrupter([&] {
+        // The hit is counted under the registry lock before the sleep
+        // starts, so the interrupt lands inside the sleep.
+        while (FailpointRegistry::hits("test.stall") == 0) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        interrupt();
+    });
+    const auto begin = std::chrono::steady_clock::now();
+    const FailpointAction action = fault_point("test.stall");
+    const auto elapsed = std::chrono::steady_clock::now() - begin;
+    interrupter.join();
+    EXPECT_EQ(action, FailpointAction::kNone);
+    return elapsed;
+}
 
 TEST_F(FailpointRegistryTest, ParsesMultiSiteSpec)
 {
@@ -347,6 +364,21 @@ TEST_F(FailpointRegistryTest, DelayActionSleeps)
     const auto elapsed = std::chrono::steady_clock::now() - begin;
     EXPECT_GE(std::chrono::duration_cast<std::chrono::milliseconds>(
                   elapsed).count(), 15);
+}
+
+TEST_F(FailpointRegistryTest, CancellationCutsDelayShort)
+{
+    const auto elapsed = interrupted_delay(
+        [] { request_cancellation("unit test interrupt"); });
+    EXPECT_LT(elapsed, std::chrono::seconds(1));
+    EXPECT_TRUE(cancellation_requested());
+}
+
+TEST_F(FailpointRegistryTest, ClearCutsDelayShort)
+{
+    const auto elapsed =
+        interrupted_delay([] { FailpointRegistry::clear(); });
+    EXPECT_LT(elapsed, std::chrono::seconds(1));
 }
 
 TEST_F(FailpointRegistryTest, ProbabilisticTriggerIsSeedDeterministic)

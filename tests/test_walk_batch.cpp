@@ -3,8 +3,7 @@
 /// per-step distribution as the scalar sampler for every
 /// TransitionKind at widths 8, 16 and auto; batch_width = 1 must stay
 /// byte-identical to the pre-batching scalar engine; and the corpus
-/// must be bit-identical across thread counts and shard partitions for
-/// every width. Property-based fuzz cases cover the WalkerBatch edge
+/// must be bit-identical across thread counts for every width. Property-based fuzz cases cover the WalkerBatch edge
 /// conditions: dead ends, degree-1 chains, ragged tails (graph smaller
 /// than the batch width) and epoch-second timestamp overflow.
 ///
@@ -475,42 +474,6 @@ TEST(WalkBatch, DeterministicAcrossThreadCounts)
             EXPECT_EQ(serial.tokens(), parallel.tokens());
             EXPECT_EQ(serial.offsets(), parallel.offsets());
         }
-    }
-}
-
-TEST(WalkBatch, ShardedGenerationMatchesMonolithic)
-{
-    // Lane independence means ANY shard partition (including ragged
-    // ones that split batch groups) must reproduce the monolithic
-    // corpus bit-for-bit.
-    const auto edges = gen::generate_barabasi_albert(
-        {.num_nodes = 150, .edges_per_node = 5, .seed = 21});
-    const auto graph =
-        graph::GraphBuilder::build(edges, {.symmetrize = true});
-    WalkConfig config;
-    config.walks_per_node = 3;
-    config.max_length = 6;
-    config.transition = TransitionKind::kExponential;
-    config.transition_cache = TransitionCacheMode::kOn;
-    config.batch_width = 16;
-    config.seed = 31;
-
-    const Corpus whole = generate_walks(graph, config);
-
-    const TransitionCache cache =
-        TransitionCache::build(graph, config.transition);
-    const std::size_t total = total_walk_slots(graph, config);
-    for (const std::size_t num_shards : {3u, 7u}) {
-        Corpus stitched;
-        for (std::size_t i = 0; i < num_shards; ++i) {
-            Corpus shard = generate_walk_shard(
-                graph, config, &cache,
-                walk_shard_range(total, num_shards, i));
-            stitched.append(std::move(shard));
-        }
-        ASSERT_EQ(stitched.num_walks(), whole.num_walks());
-        EXPECT_EQ(stitched.tokens(), whole.tokens());
-        EXPECT_EQ(stitched.offsets(), whole.offsets());
     }
 }
 

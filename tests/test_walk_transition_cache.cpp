@@ -224,10 +224,11 @@ INSTANTIATE_TEST_SUITE_P(
                           TransitionKind::kExponential,
                           TransitionKind::kExponentialDecay,
                           TransitionKind::kLinear)),
-    [](const auto& info) {
+    [](const auto& param_info) {
         std::string label =
-            equivalence_cases()[std::get<0>(info.param)].name +
-            std::string("_") + transition_name(std::get<1>(info.param));
+            equivalence_cases()[std::get<0>(param_info.param)].name +
+            std::string("_") +
+            transition_name(std::get<1>(param_info.param));
         // gtest parameter names allow only [A-Za-z0-9_].
         for (char& c : label) {
             if (c == '-') {
