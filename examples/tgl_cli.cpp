@@ -422,10 +422,10 @@ cmd_pipeline(int argc, const char* const* argv)
     cli.add_flag("bench-out", "",
                  "write the phase breakdown as BENCH_pipeline.json "
                  "(shared bench schema) to this path");
-    cli.add_flag("perf", "auto",
+    cli.add_flag("perf", "on",
                  "hardware counters (perf_event_open) per phase: on | "
-                 "off | auto (on/auto degrade to no-ops when "
-                 "unavailable; see README for perf_event_paranoid)");
+                 "off (on degrades to no-ops when unavailable; see "
+                 "README for perf_event_paranoid)");
     cli.add_flag("failpoints", "",
                  "chaos-testing fault spec: site=action[:param][@N] "
                  "entries joined by ';' (overrides TGL_FAILPOINTS; see "
@@ -467,7 +467,7 @@ cmd_pipeline(int argc, const char* const* argv)
             obs::parse_perf_mode(cli.get_string("perf"))) {
         obs::set_perf_mode(*mode);
     } else {
-        util::fatal("--perf expects on | off | auto");
+        util::fatal("--perf expects on | off");
     }
     if (const std::string failpoints = cli.get_string("failpoints");
         !failpoints.empty()) {

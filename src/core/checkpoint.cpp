@@ -369,10 +369,7 @@ CheckpointManager::store_classifier(const std::string& name,
                                     std::uint64_t fingerprint,
                                     nn::Mlp& net) const
 {
-    util::atomic_write_file(
-        classifier_path(name),
-        [&](std::ostream& out) { net.save_weights(out, fingerprint); },
-        /*binary=*/true);
+    net.save_weights_file(classifier_path(name), fingerprint);
 }
 
 } // namespace tgl::core

@@ -15,7 +15,7 @@
 
 namespace tgl::core {
 
-/// Classifier hyperparameters (shared by both tasks).
+/// Classifier hyperparameters (shared by every task).
 struct ClassifierConfig
 {
     /// Hidden width of the 2-layer link predictor.
@@ -47,8 +47,8 @@ struct TaskResult
     double final_train_loss = 0.0;
     double valid_accuracy = 0.0;
     double test_accuracy = 0.0;
-    double test_auc = 0.0;      ///< link prediction only
-    double test_macro_f1 = 0.0; ///< node classification only
+    double test_auc = 0.0;      ///< binary tasks only
+    double test_macro_f1 = 0.0; ///< multi-class tasks only
     unsigned epochs_run = 0;
     double train_seconds = 0.0;
     double test_seconds = 0.0;

@@ -1,16 +1,12 @@
 #include "core/link_property_prediction.hpp"
 
-#include "core/metrics.hpp"
-#include "nn/loss.hpp"
+#include "core/classifier.hpp"
 #include "nn/mlp.hpp"
-#include "nn/optim.hpp"
 #include "rng/random.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
-#include "util/timer.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace tgl::core {
@@ -38,34 +34,6 @@ label_edges_by_time(const graph::EdgeList& edges, std::uint32_t num_classes)
     return labels;
 }
 
-namespace {
-
-nn::TaskDataset
-make_edge_property_dataset(const graph::EdgeList& edges,
-                           const std::vector<std::uint32_t>& edge_labels,
-                           const std::vector<std::uint32_t>& indices,
-                           const embed::Embedding& embedding)
-{
-    const unsigned d = embedding.dim();
-    nn::TaskDataset dataset;
-    dataset.features.resize(indices.size(), 2 * d);
-    dataset.class_labels.reserve(indices.size());
-    for (std::size_t i = 0; i < indices.size(); ++i) {
-        const graph::TemporalEdge& e = edges[indices[i]];
-        auto row = dataset.features.row(i);
-        const auto fu = embedding.row(e.src);
-        const auto fv = embedding.row(e.dst);
-        for (unsigned c = 0; c < d; ++c) {
-            row[c] = fu[c];
-            row[d + c] = fv[c];
-        }
-        dataset.class_labels.push_back(edge_labels[indices[i]]);
-    }
-    return dataset;
-}
-
-} // namespace
-
 TaskResult
 run_link_property_prediction(const graph::EdgeList& edges,
                              const std::vector<std::uint32_t>& edge_labels,
@@ -77,92 +45,40 @@ run_link_property_prediction(const graph::EdgeList& edges,
     if (edges.size() != edge_labels.size()) {
         util::fatal("run_link_property_prediction: labels/edges mismatch");
     }
-    rng::Random random(split.seed);
+    // A random edge split: this task has explicit labels, so the
+    // negative sampling of Fig. 7 is unnecessary. The node split's
+    // shuffle and cuts apply unchanged to edge indices.
+    if (edges.size() > std::numeric_limits<graph::NodeId>::max()) {
+        util::fatal("run_link_property_prediction: too many edges");
+    }
+    const NodeSplits splits = prepare_node_splits(
+        static_cast<graph::NodeId>(edges.size()), split);
 
-    // Random edge split (this task has explicit labels, so the
-    // negative-sampling machinery of Fig. 7 is unnecessary).
-    std::vector<std::uint32_t> order(edges.size());
-    std::iota(order.begin(), order.end(), 0u);
-    random.shuffle(order);
-    const auto num_train = static_cast<std::size_t>(
-        static_cast<double>(order.size()) * split.train_fraction);
-    const auto num_valid = static_cast<std::size_t>(
-        static_cast<double>(order.size()) * split.valid_fraction);
+    // Each row is an edge's [f(u), f(v)] features with its property
+    // class as the label.
+    const auto dataset = [&](const std::vector<graph::NodeId>& rows) {
+        std::vector<EdgeSample> samples;
+        std::vector<std::uint32_t> classes;
+        samples.reserve(rows.size());
+        classes.reserve(rows.size());
+        for (const graph::NodeId row : rows) {
+            samples.push_back({edges[row].src, edges[row].dst, 0.0f});
+            classes.push_back(edge_labels[row]);
+        }
+        nn::TaskDataset data = make_edge_dataset(samples, embedding);
+        data.binary_labels.clear();
+        data.class_labels = std::move(classes);
+        return data;
+    };
 
-    const std::vector<std::uint32_t> train_idx(
-        order.begin(), order.begin() + static_cast<std::ptrdiff_t>(num_train));
-    const std::vector<std::uint32_t> valid_idx(
-        order.begin() + static_cast<std::ptrdiff_t>(num_train),
-        order.begin() + static_cast<std::ptrdiff_t>(num_train + num_valid));
-    const std::vector<std::uint32_t> test_idx(
-        order.begin() + static_cast<std::ptrdiff_t>(num_train + num_valid),
-        order.end());
-
-    const nn::TaskDataset train_set =
-        make_edge_property_dataset(edges, edge_labels, train_idx, embedding);
-    const nn::TaskDataset valid_set =
-        make_edge_property_dataset(edges, edge_labels, valid_idx, embedding);
-    const nn::TaskDataset test_set =
-        make_edge_property_dataset(edges, edge_labels, test_idx, embedding);
-
-    rng::Random net_random(config.seed);
+    rng::Random random(config.seed);
     nn::Mlp net =
         nn::make_node_classifier(2 * embedding.dim(), config.hidden1,
-                                 config.hidden2, num_classes, net_random);
-    nn::Sgd optimizer(net.parameters(), config.lr, config.momentum,
-                      config.weight_decay);
-    nn::DataLoader loader(train_set, config.batch_size, true,
-                          config.seed ^ 0x33);
-
-    TaskResult result;
-    util::Timer train_timer;
-    nn::Tensor batch_features;
-    std::vector<float> batch_binary;
-    std::vector<std::uint32_t> batch_classes;
-
-    for (unsigned epoch = 0; epoch < config.max_epochs; ++epoch) {
-        loader.start_epoch();
-        double epoch_loss = 0.0;
-        for (std::size_t b = 0; b < loader.num_batches(); ++b) {
-            loader.batch(b, batch_features, batch_binary, batch_classes);
-            const nn::Tensor& output = net.forward(batch_features);
-            const nn::LossResult loss = nn::nll_loss(output, batch_classes);
-            if (!std::isfinite(loss.loss)) {
-                util::fatal(util::strcat(
-                    "link property prediction: non-finite training loss "
-                    "at epoch ", epoch + 1, ", batch ", b + 1,
-                    " — the classifier diverged (lower lr or check the "
-                    "input features)"));
-            }
-            epoch_loss += loss.loss;
-            optimizer.zero_grad();
-            net.backward(loss.grad);
-            optimizer.step();
-        }
-        result.final_train_loss =
-            epoch_loss / static_cast<double>(loader.num_batches());
-        result.epochs_run = epoch + 1;
-    }
-    result.train_seconds = train_timer.seconds();
-    result.seconds_per_epoch =
-        result.epochs_run == 0
-            ? 0.0
-            : result.train_seconds / result.epochs_run;
-
-    if (!valid_idx.empty()) {
-        const nn::Tensor& valid_out = net.forward(valid_set.features);
-        result.valid_accuracy =
-            multiclass_accuracy(valid_out, valid_set.class_labels);
-    }
-
-    util::Timer test_timer;
-    const nn::Tensor& test_out = net.forward(test_set.features);
-    result.test_accuracy =
-        multiclass_accuracy(test_out, test_set.class_labels);
-    result.test_macro_f1 =
-        macro_f1(test_out, test_set.class_labels, num_classes);
-    result.test_seconds = test_timer.seconds();
-    return result;
+                                 config.hidden2, num_classes, random);
+    return train_classifier(net, dataset(splits.train),
+                            dataset(splits.valid), dataset(splits.test),
+                            num_classes, config, config.seed ^ 0x33,
+                            nullptr, "link_property_prediction");
 }
 
 } // namespace tgl::core

@@ -1,17 +1,8 @@
 #include "core/node_classification.hpp"
 
-#include "nn/loss.hpp"
+#include "core/classifier.hpp"
 #include "nn/mlp.hpp"
-#include "nn/optim.hpp"
-#include "obs/metrics.hpp"
-#include "obs/perf_events.hpp"
-#include "obs/trace.hpp"
-#include "util/cancellation.hpp"
-#include "util/error.hpp"
-#include "util/logging.hpp"
-#include "util/timer.hpp"
-
-#include <cmath>
+#include "rng/random.hpp"
 
 namespace tgl::core {
 
@@ -23,134 +14,15 @@ run_node_classification(const NodeSplits& splits,
                         const ClassifierConfig& config,
                         ClassifierCheckpoint* checkpoint)
 {
-    TaskResult result;
     rng::Random random(config.seed);
-
-    const nn::TaskDataset train_set =
-        make_node_dataset(splits.train, labels, embedding);
-    const nn::TaskDataset valid_set =
-        make_node_dataset(splits.valid, labels, embedding);
-    const nn::TaskDataset test_set =
-        make_node_dataset(splits.test, labels, embedding);
-    check_finite_features(train_set, "node classification");
-    check_finite_features(valid_set, "node classification");
-    check_finite_features(test_set, "node classification");
-
     nn::Mlp net =
         nn::make_node_classifier(embedding.dim(), config.hidden1,
                                  config.hidden2, num_classes, random);
-    nn::Sgd optimizer(net.parameters(), config.lr, config.momentum,
-                      config.weight_decay);
-    nn::DataLoader loader(train_set, config.batch_size, true,
-                          config.seed ^ 0x22);
-
-    const bool restored =
-        checkpoint != nullptr && checkpoint->manager != nullptr &&
-        checkpoint->manager->load_classifier(
-            checkpoint->name, checkpoint->fingerprint, net);
-    if (checkpoint != nullptr) {
-        checkpoint->loaded = restored;
-    }
-
-    const obs::Span span("classifier.node_classification");
-    // Shared handles: registration interns by name, so both classifier
-    // entry points feed the same registry cells.
-    obs::Registry& registry = obs::Registry::global();
-    obs::Counter epochs_counter = registry.counter("classifier.epochs");
-    obs::Counter batches_counter = registry.counter("classifier.batches");
-    obs::Histogram batch_hist = registry.histogram(
-        "classifier.batch_seconds",
-        {0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025,
-         0.05, 0.1, 0.25, 0.5, 1.0});
-
-    util::Timer train_timer;
-    const auto train_begin = std::chrono::steady_clock::now();
-    // The MLP runs on the calling thread, so a plain per-thread scope
-    // captures the whole training loop.
-    obs::PerfScope train_perf("train");
-    nn::Tensor batch_features;
-    std::vector<float> batch_binary;
-    std::vector<std::uint32_t> batch_classes;
-
-    for (unsigned epoch = 0; !restored && epoch < config.max_epochs;
-         ++epoch) {
-        util::check_cancellation("the classifier epoch loop");
-        const obs::Span epoch_span("classifier.epoch");
-        loader.start_epoch();
-        double epoch_loss = 0.0;
-        for (std::size_t b = 0; b < loader.num_batches(); ++b) {
-            util::Timer batch_timer;
-            loader.batch(b, batch_features, batch_binary, batch_classes);
-            const nn::Tensor& output = net.forward(batch_features);
-            const nn::LossResult loss = nn::nll_loss(output, batch_classes);
-            if (!std::isfinite(loss.loss)) {
-                util::fatal(util::strcat(
-                    "node classification: non-finite training loss at "
-                    "epoch ", epoch + 1, ", batch ", b + 1,
-                    " — the classifier diverged (lower lr or check the "
-                    "input features)"));
-            }
-            epoch_loss += loss.loss;
-            optimizer.zero_grad();
-            net.backward(loss.grad);
-            optimizer.step();
-            batches_counter.inc();
-            batch_hist.observe(batch_timer.seconds());
-        }
-        epochs_counter.inc();
-        result.final_train_loss =
-            epoch_loss / static_cast<double>(loader.num_batches());
-        result.epochs_run = epoch + 1;
-        registry.gauge("classifier.train_loss")
-            .set(result.final_train_loss);
-
-        if (config.target_valid_accuracy < 1.0 && !splits.valid.empty()) {
-            const nn::Tensor& valid_out =
-                net.forward(valid_set.features);
-            result.valid_accuracy = multiclass_accuracy(
-                valid_out, valid_set.class_labels);
-            if (result.valid_accuracy >= config.target_valid_accuracy) {
-                break;
-            }
-        }
-    }
-    result.train_seconds = train_timer.seconds();
-    const obs::PerfSample train_sample = train_perf.close();
-    if (obs::TraceSession* session = obs::TraceSession::current()) {
-        session->record("pipeline.train", train_begin,
-                        std::chrono::steady_clock::now(),
-                        obs::perf_span_args(train_sample));
-    }
-    result.seconds_per_epoch =
-        result.epochs_run == 0
-            ? 0.0
-            : result.train_seconds / result.epochs_run;
-
-    if (!restored && checkpoint != nullptr &&
-        checkpoint->manager != nullptr) {
-        checkpoint->manager->store_classifier(
-            checkpoint->name, checkpoint->fingerprint, net);
-        checkpoint->stored = true;
-    }
-
-    if (!splits.valid.empty()) {
-        const nn::Tensor& valid_out = net.forward(valid_set.features);
-        result.valid_accuracy =
-            multiclass_accuracy(valid_out, valid_set.class_labels);
-    }
-
-    registry.gauge("classifier.valid_accuracy")
-        .set(result.valid_accuracy);
-
-    util::Timer test_timer;
-    const obs::Span test_span("pipeline.test", "test");
-    const nn::Tensor& test_out = net.forward(test_set.features);
-    result.test_accuracy =
-        multiclass_accuracy(test_out, test_set.class_labels);
-    result.test_macro_f1 =
-        macro_f1(test_out, test_set.class_labels, num_classes);
-    result.test_seconds = test_timer.seconds();
-    return result;
+    return train_classifier(
+        net, make_node_dataset(splits.train, labels, embedding),
+        make_node_dataset(splits.valid, labels, embedding),
+        make_node_dataset(splits.test, labels, embedding), num_classes,
+        config, config.seed ^ 0x22, checkpoint, "node_classification");
 }
 
 } // namespace tgl::core

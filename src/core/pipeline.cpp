@@ -1,7 +1,6 @@
 #include "core/pipeline.hpp"
 
 #include "graph/builder.hpp"
-#include "obs/perf_events.hpp"
 #include "obs/trace.hpp"
 #include "util/cancellation.hpp"
 #include "util/fault_injection.hpp"
@@ -9,8 +8,8 @@
 #include "util/string_util.hpp"
 #include "util/timer.hpp"
 
-#include <chrono>
 #include <optional>
+#include <string_view>
 
 namespace tgl::core {
 
@@ -37,36 +36,6 @@ PipelineConfig::validate() const
 }
 
 namespace {
-
-/// Emit a pipeline-phase span covering the section timed since
-/// @p begin; a no-op when no trace session is active. @p args carries
-/// numeric event arguments (perf counter deltas).
-void
-record_phase(const char* name,
-             std::chrono::steady_clock::time_point begin,
-             std::vector<std::pair<std::string, double>> args = {})
-{
-    if (obs::TraceSession* session = obs::TraceSession::current()) {
-        session->record(name, begin, std::chrono::steady_clock::now(),
-                        std::move(args));
-    }
-}
-
-/// Counter args for a phase span whose work ran inside worker-side
-/// scopes (walk engine, SGNS trainers): the delta of the process-wide
-/// phase aggregate over the section, rather than a main-thread scope
-/// that would sit idle while the pool does the work.
-std::vector<std::pair<std::string, double>>
-phase_perf_args(std::string_view phase, const obs::PerfSample& before)
-{
-    return obs::perf_span_args(obs::perf_phase_total(phase) - before);
-}
-
-std::chrono::steady_clock::time_point
-phase_now()
-{
-    return std::chrono::steady_clock::now();
-}
 
 /// Refuse to start a multi-phase run on a bad configuration; the error
 /// lists every diagnostic so one round of fixes suffices.
@@ -135,17 +104,20 @@ run_front_end(const graph::EdgeList& edges, const PipelineConfig& config,
               const CheckpointManager* checkpoints,
               const PipelineFingerprints& fingerprints)
 {
+    // Build runs on the calling thread, so its span measures the
+    // phase's counters. The walk and word2vec spans carry none: their
+    // work runs on the pool, and the child spans walk.generate and
+    // sgns.train carry the team's counters. A calling-thread scope
+    // around them would take those counts away from the children
+    // whenever the team is this thread alone.
     util::check_cancellation("the build-graph phase boundary");
     util::Timer timer;
-    auto phase_begin = phase_now();
     graph::BuildOptions build_options;
     build_options.symmetrize = config.symmetrize_graph;
     {
-        obs::PerfScope build_perf("build_graph");
+        const obs::Span span("pipeline.build_graph", "build_graph");
         graph = graph::GraphBuilder::build(edges, build_options);
         result.times.build_graph = timer.seconds();
-        record_phase("pipeline.build_graph", phase_begin,
-                     obs::perf_span_args(build_perf.close()));
     }
     result.num_nodes = graph.num_nodes();
     result.num_edges = graph.num_edges();
@@ -161,108 +133,111 @@ run_front_end(const graph::EdgeList& edges, const PipelineConfig& config,
 
     util::check_cancellation("the walk phase boundary");
     timer.reset();
-    phase_begin = phase_now();
-    const obs::PerfSample walk_before = obs::perf_phase_total("walk");
     walk::Corpus corpus;
-    if (checkpoints != nullptr &&
-        checkpoints->load_corpus(fingerprints.walk, corpus)) {
-        result.checkpoints.corpus_loaded = true;
-    } else {
-        // The prefix-CDF table is itself a resumable artifact: it is
-        // keyed only by the graph and transition kind, so a run that
-        // was reseeded (or crashed mid-walk) skips the O(E) exp pass.
-        walk::TransitionCache cache;
-        const walk::TransitionCache* cache_ptr = nullptr;
-        if (walk::use_transition_cache(config.walk, graph)) {
-            if (checkpoints != nullptr &&
-                checkpoints->load_transition_cache(fingerprints.cache,
-                                                   cache)) {
-                result.checkpoints.cache_loaded = true;
-            } else {
-                cache = walk::TransitionCache::build(
-                    graph, config.walk.transition,
-                    config.walk.num_threads);
-                if (checkpoints != nullptr) {
-                    checkpoints->store_transition_cache(
-                        fingerprints.cache, cache);
-                    result.checkpoints.cache_stored = true;
+    {
+        const obs::Span span("pipeline.walk");
+        if (checkpoints != nullptr &&
+            checkpoints->load_corpus(fingerprints.walk, corpus)) {
+            result.checkpoints.corpus_loaded = true;
+        } else {
+            // The prefix-CDF table is itself a resumable artifact: it is
+            // keyed only by the graph and transition kind, so a run that
+            // was reseeded (or crashed mid-walk) skips the O(E) exp pass.
+            walk::TransitionCache cache;
+            const walk::TransitionCache* cache_ptr = nullptr;
+            if (walk::use_transition_cache(config.walk, graph)) {
+                if (checkpoints != nullptr &&
+                    checkpoints->load_transition_cache(fingerprints.cache,
+                                                       cache)) {
+                    result.checkpoints.cache_loaded = true;
+                } else {
+                    cache = walk::TransitionCache::build(
+                        graph, config.walk.transition,
+                        config.walk.num_threads);
+                    if (checkpoints != nullptr) {
+                        checkpoints->store_transition_cache(
+                            fingerprints.cache, cache);
+                        result.checkpoints.cache_stored = true;
+                    }
                 }
+                cache_ptr = &cache;
             }
-            cache_ptr = &cache;
-        }
 
-        corpus = walk::generate_walks(graph, config.walk, cache_ptr,
-                                      &result.walk_profile);
-        if (checkpoints != nullptr) {
-            checkpoints->store_corpus(fingerprints.walk, corpus);
-            result.checkpoints.corpus_stored = true;
+            corpus = walk::generate_walks(graph, config.walk, cache_ptr,
+                                          &result.walk_profile);
+            if (checkpoints != nullptr) {
+                checkpoints->store_corpus(fingerprints.walk, corpus);
+                result.checkpoints.corpus_stored = true;
+            }
         }
+        result.times.random_walk = timer.seconds();
     }
-    result.times.random_walk = timer.seconds();
-    record_phase("pipeline.walk", phase_begin,
-                 phase_perf_args("walk", walk_before));
     result.corpus_walks = corpus.num_walks();
     result.corpus_tokens = corpus.num_tokens();
     util::fault_point("pipeline.after-walk");
 
     util::check_cancellation("the word2vec phase boundary");
     timer.reset();
-    phase_begin = phase_now();
-    const obs::PerfSample sgns_before = obs::perf_phase_total("sgns");
-    if (config.w2v_mode == W2vMode::kHogwild) {
-        embedding = embed::train_sgns(corpus, graph.num_nodes(),
-                                      config.sgns, &result.w2v_stats);
-    } else {
-        embed::BatchedSgnsConfig batched;
-        batched.sgns = config.sgns;
-        batched.batch_size = config.w2v_batch_size;
-        embedding = embed::train_sgns_batched(
-            corpus, graph.num_nodes(), batched, &result.w2v_stats);
+    {
+        const obs::Span span("pipeline.word2vec");
+        if (config.w2v_mode == W2vMode::kHogwild) {
+            embedding = embed::train_sgns(corpus, graph.num_nodes(),
+                                          config.sgns, &result.w2v_stats);
+        } else {
+            embed::BatchedSgnsConfig batched;
+            batched.sgns = config.sgns;
+            batched.batch_size = config.w2v_batch_size;
+            embedding = embed::train_sgns_batched(
+                corpus, graph.num_nodes(), batched, &result.w2v_stats);
+        }
+        if (checkpoints != nullptr) {
+            checkpoints->store_embedding(fingerprints.embed, embedding);
+            result.checkpoints.embedding_stored = true;
+        }
+        result.times.word2vec = timer.seconds();
     }
-    if (checkpoints != nullptr) {
-        checkpoints->store_embedding(fingerprints.embed, embedding);
-        result.checkpoints.embedding_stored = true;
-    }
-    result.times.word2vec = timer.seconds();
-    record_phase("pipeline.word2vec", phase_begin,
-                 phase_perf_args("sgns", sgns_before));
     util::fault_point("pipeline.after-word2vec");
     return embedding;
 }
 
-/// Checkpoint plumbing shared by the two task pipelines.
-struct PipelineContext
+/// The body both task pipelines share: the front end, then @p prepare
+/// (the task's splits from the built graph, timed as the
+/// data-preparation phase) and @p classify (the task call, given its
+/// classifier checkpoint). The classifier fingerprint covers the
+/// embedding chain, data preparation, the classifier configuration,
+/// @p task_tag and, when given, the node labels.
+template <typename Prepare, typename Classify>
+PipelineResult
+run_task_pipeline(const graph::EdgeList& edges, const PipelineConfig& config,
+                  std::string_view task_tag,
+                  const std::vector<std::uint32_t>* labels,
+                  std::uint32_t num_classes, Prepare prepare,
+                  Classify classify)
 {
+    enforce_valid(config);
+    PipelineResult result;
     std::optional<CheckpointManager> manager;
     PipelineFingerprints fingerprints;
-
-    PipelineContext(const graph::EdgeList& edges,
-                    const PipelineConfig& config)
-    {
-        if (!config.checkpoint_dir.empty()) {
-            manager.emplace(config.checkpoint_dir);
-            fingerprints = compute_fingerprints(edges, config);
-        }
+    if (!config.checkpoint_dir.empty()) {
+        manager.emplace(config.checkpoint_dir);
+        fingerprints = compute_fingerprints(edges, config);
     }
+    graph::TemporalGraph graph;
+    const embed::Embedding embedding =
+        run_front_end(edges, config, graph, result,
+                      manager ? &*manager : nullptr, fingerprints);
 
-    const CheckpointManager*
-    get() const
-    {
-        return manager ? &*manager : nullptr;
-    }
+    util::check_cancellation("the data-preparation phase boundary");
+    const auto splits = [&] {
+        const obs::Span span("pipeline.data_prep", "data_prep");
+        const util::Timer timer;
+        auto prepared = prepare(graph);
+        result.times.data_prep = timer.seconds();
+        return prepared;
+    }();
 
-    /// Classifier fingerprint: embedding chain + data preparation +
-    /// classifier configuration + a task tag (+ optional label data).
-    ClassifierCheckpoint
-    classifier_checkpoint(const PipelineConfig& config,
-                          std::string_view task_tag,
-                          const std::vector<std::uint32_t>* labels,
-                          std::uint32_t num_classes) const
-    {
-        ClassifierCheckpoint checkpoint;
-        if (!manager) {
-            return checkpoint;
-        }
+    ClassifierCheckpoint checkpoint;
+    if (manager) {
         util::Fingerprint fp;
         fp.mix(fingerprints.embed);
         mix_config(fp, config.split);
@@ -274,26 +249,26 @@ struct PipelineContext
                          labels->size() * sizeof(std::uint32_t));
             fp.mix(num_classes);
         }
-        checkpoint.manager = &*manager;
-        checkpoint.name = std::string(task_tag);
-        checkpoint.fingerprint = fp.value();
-        return checkpoint;
+        checkpoint = {&*manager, std::string(task_tag), fp.value()};
     }
-
-    /// Copy the manager's recovery tallies into the run's checkpoint
-    /// status (the metrics snapshot carries the recovery.* counters;
-    /// this makes the same numbers part of the structured result).
-    void
-    record_recoveries(PipelineResult& result) const
-    {
-        if (manager) {
-            result.checkpoints.artifacts_quarantined =
-                manager->quarantined_count();
-            result.checkpoints.artifacts_regenerated =
-                manager->regenerated_count();
-        }
+    result.task =
+        classify(splits, embedding, manager ? &checkpoint : nullptr);
+    result.checkpoints.classifier_loaded = checkpoint.loaded;
+    result.checkpoints.classifier_stored = checkpoint.stored;
+    result.times.train = result.task.train_seconds;
+    result.times.train_per_epoch = result.task.seconds_per_epoch;
+    result.times.test = result.task.test_seconds;
+    if (manager) {
+        // The metrics snapshot carries the recovery.* counters; this
+        // makes the same numbers part of the structured result.
+        result.checkpoints.artifacts_quarantined =
+            manager->quarantined_count();
+        result.checkpoints.artifacts_regenerated =
+            manager->regenerated_count();
     }
-};
+    util::fault_point("pipeline.after-train");
+    return result;
+}
 
 } // namespace
 
@@ -301,36 +276,16 @@ PipelineResult
 run_link_prediction_pipeline(const graph::EdgeList& edges,
                              const PipelineConfig& config)
 {
-    enforce_valid(config);
-    PipelineResult result;
-    const PipelineContext context(edges, config);
-    graph::TemporalGraph graph;
-    const embed::Embedding embedding = run_front_end(
-        edges, config, graph, result, context.get(), context.fingerprints);
-
-    util::check_cancellation("the data-preparation phase boundary");
-    util::Timer timer;
-    const auto prep_begin = phase_now();
-    obs::PerfScope prep_perf("data_prep");
-    const LinkSplits splits =
-        prepare_link_splits(edges, graph, config.split);
-    result.times.data_prep = timer.seconds();
-    record_phase("pipeline.data_prep", prep_begin,
-                 obs::perf_span_args(prep_perf.close()));
-
-    ClassifierCheckpoint checkpoint = context.classifier_checkpoint(
-        config, "link-predictor", nullptr, 0);
-    result.task = run_link_prediction(
-        splits, embedding, config.classifier,
-        checkpoint.manager != nullptr ? &checkpoint : nullptr);
-    result.checkpoints.classifier_loaded = checkpoint.loaded;
-    result.checkpoints.classifier_stored = checkpoint.stored;
-    result.times.train = result.task.train_seconds;
-    result.times.train_per_epoch = result.task.seconds_per_epoch;
-    result.times.test = result.task.test_seconds;
-    context.record_recoveries(result);
-    util::fault_point("pipeline.after-train");
-    return result;
+    return run_task_pipeline(
+        edges, config, "link-predictor", nullptr, 0,
+        [&](const graph::TemporalGraph& graph) {
+            return prepare_link_splits(edges, graph, config.split);
+        },
+        [&](const LinkSplits& splits, const embed::Embedding& embedding,
+            ClassifierCheckpoint* checkpoint) {
+            return run_link_prediction(splits, embedding,
+                                       config.classifier, checkpoint);
+        });
 }
 
 PipelineResult
@@ -339,36 +294,17 @@ run_node_classification_pipeline(const graph::EdgeList& edges,
                                  std::uint32_t num_classes,
                                  const PipelineConfig& config)
 {
-    enforce_valid(config);
-    PipelineResult result;
-    const PipelineContext context(edges, config);
-    graph::TemporalGraph graph;
-    const embed::Embedding embedding = run_front_end(
-        edges, config, graph, result, context.get(), context.fingerprints);
-
-    util::check_cancellation("the data-preparation phase boundary");
-    util::Timer timer;
-    const auto prep_begin = phase_now();
-    obs::PerfScope prep_perf("data_prep");
-    const NodeSplits splits =
-        prepare_node_splits(graph.num_nodes(), config.split);
-    result.times.data_prep = timer.seconds();
-    record_phase("pipeline.data_prep", prep_begin,
-                 obs::perf_span_args(prep_perf.close()));
-
-    ClassifierCheckpoint checkpoint = context.classifier_checkpoint(
-        config, "node-classifier", &labels, num_classes);
-    result.task = run_node_classification(
-        splits, labels, num_classes, embedding, config.classifier,
-        checkpoint.manager != nullptr ? &checkpoint : nullptr);
-    result.checkpoints.classifier_loaded = checkpoint.loaded;
-    result.checkpoints.classifier_stored = checkpoint.stored;
-    result.times.train = result.task.train_seconds;
-    result.times.train_per_epoch = result.task.seconds_per_epoch;
-    result.times.test = result.task.test_seconds;
-    context.record_recoveries(result);
-    util::fault_point("pipeline.after-train");
-    return result;
+    return run_task_pipeline(
+        edges, config, "node-classifier", &labels, num_classes,
+        [&](const graph::TemporalGraph& graph) {
+            return prepare_node_splits(graph.num_nodes(), config.split);
+        },
+        [&](const NodeSplits& splits, const embed::Embedding& embedding,
+            ClassifierCheckpoint* checkpoint) {
+            return run_node_classification(splits, labels, num_classes,
+                                           embedding, config.classifier,
+                                           checkpoint);
+        });
 }
 
 PipelineResult

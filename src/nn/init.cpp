@@ -18,16 +18,4 @@ xavier_uniform(Tensor& weights, std::size_t fan_in, std::size_t fan_out,
     }
 }
 
-void
-kaiming_normal(Tensor& weights, std::size_t fan_in, rng::Random& random)
-{
-    const double stddev = std::sqrt(2.0 / static_cast<double>(fan_in));
-    for (std::size_t r = 0; r < weights.rows(); ++r) {
-        for (std::size_t c = 0; c < weights.cols(); ++c) {
-            weights(r, c) =
-                static_cast<float>(random.next_gaussian() * stddev);
-        }
-    }
-}
-
 } // namespace tgl::nn

@@ -11,8 +11,4 @@ namespace tgl::nn {
 void xavier_uniform(Tensor& weights, std::size_t fan_in,
                     std::size_t fan_out, rng::Random& random);
 
-/// Kaiming/He normal for ReLU stacks: N(0, sqrt(2 / fan_in)).
-void kaiming_normal(Tensor& weights, std::size_t fan_in,
-                    rng::Random& random);
-
 } // namespace tgl::nn

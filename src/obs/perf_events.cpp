@@ -228,7 +228,7 @@ probe()
 /// The standard event set, opened at most once per thread and cached
 /// for the thread's lifetime. `depth` is the same-thread scope-nesting
 /// guard: only the outermost scope measures, so nested phases (e.g. a
-/// pipeline span around the walk engine when threads == 1) never count
+/// caller's span around the walk engine when threads == 1) never count
 /// an instruction twice.
 struct ThreadCounters
 {
@@ -377,24 +377,7 @@ parse_perf_mode(std::string_view text)
     if (text == "on") {
         return PerfMode::kOn;
     }
-    if (text == "auto") {
-        return PerfMode::kAuto;
-    }
     return std::nullopt;
-}
-
-const char*
-perf_mode_name(PerfMode mode)
-{
-    switch (mode) {
-    case PerfMode::kOff:
-        return "off";
-    case PerfMode::kOn:
-        return "on";
-    case PerfMode::kAuto:
-        return "auto";
-    }
-    return "off";
 }
 
 void
@@ -717,55 +700,6 @@ PerfRankScopes::close()
         record_phase_sample(phase_, total);
     }
     return total;
-}
-
-// ---------------------------------------------------------------------------
-// RawCounterSet
-
-RawCounterSet::RawCounterSet(std::vector<RawCounterSpec> specs)
-{
-    slots_.reserve(specs.size());
-    for (RawCounterSpec& spec : specs) {
-        Slot slot;
-        slot.fd = perf_active() ? open_event(spec.type, spec.config) : -1;
-        slot.spec = std::move(spec);
-        slots_.push_back(std::move(slot));
-    }
-}
-
-RawCounterSet::~RawCounterSet()
-{
-    for (Slot& slot : slots_) {
-        close_event(slot.fd);
-    }
-}
-
-bool
-RawCounterSet::active() const
-{
-    for (const Slot& slot : slots_) {
-        if (slot.fd >= 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
-std::vector<std::pair<std::string, double>>
-RawCounterSet::read_scaled() const
-{
-    std::vector<std::pair<std::string, double>> out;
-    for (const Slot& slot : slots_) {
-        Reading reading;
-        if (!read_event(slot.fd, reading) || reading.time_running == 0) {
-            continue;
-        }
-        const double scale = static_cast<double>(reading.time_enabled) /
-                             static_cast<double>(reading.time_running);
-        out.emplace_back(slot.spec.name,
-                         static_cast<double>(reading.value) * scale);
-    }
-    return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@
 ///    exactly once and every scope becomes a no-op. The env override
 ///    `TGL_PERF_DISABLE=1` forces that path (CI determinism).
 ///
-///  - **No double counting.** Scopes nest (pipeline phase around
+///  - **No double counting.** Scopes nest (a caller's scope around an
 ///    engine phase, both on the main thread when threads==1); a
 ///    thread-local depth guard makes inner scopes no-ops so each
 ///    retired instruction is attributed to exactly one phase.
@@ -42,7 +42,7 @@
 /// Typical use:
 ///
 /// @code
-///   tgl::obs::set_perf_mode(tgl::obs::PerfMode::kAuto);
+///   tgl::obs::set_perf_mode(tgl::obs::PerfMode::kOn);
 ///   { tgl::obs::PerfScope scope("walk"); run_walk(); }
 ///   // Registry::global() now holds perf.walk.cycles, ...
 ///   tgl::obs::PerfSample total = tgl::obs::perf_phase_total("walk");
@@ -63,22 +63,16 @@ namespace tgl::obs {
 // ---------------------------------------------------------------------------
 // Mode
 
-/// Library-wide switch. kOff (default) never issues a syscall; kOn and
-/// kAuto probe lazily and degrade to no-ops when unavailable — the
-/// difference is intent: kOn is "the user asked for counters" (CLI
-/// --perf=on), kAuto is "take them if the host offers them".
+/// Library-wide switch. kOff (default) never issues a syscall; kOn
+/// probes lazily and degrades to no-ops when counters are unavailable.
 enum class PerfMode
 {
     kOff,
     kOn,
-    kAuto,
 };
 
-/// Parse "on" / "off" / "auto"; nullopt on anything else.
+/// Parse "on" / "off"; nullopt on anything else.
 std::optional<PerfMode> parse_perf_mode(std::string_view text);
-
-/// Inverse of parse_perf_mode.
-const char* perf_mode_name(PerfMode mode);
 
 /// Set / read the process-wide mode. Threads-safe; takes effect for
 /// scopes opened afterwards.
@@ -251,45 +245,6 @@ class PerfRankScopes
     std::string phase_;
     std::vector<Slot> slots_;
     bool closed_ = false;
-};
-
-// ---------------------------------------------------------------------------
-// Raw escape hatch
-
-/// An arbitrary perf event by (type, config) — e.g. a microarchitecture
-/// raw PMU code {PERF_TYPE_RAW, 0x01b1} — counted on the calling
-/// thread for the lifetime of a RawCounterSet.
-struct RawCounterSpec
-{
-    std::uint32_t type = 0;   ///< perf_event_attr::type
-    std::uint64_t config = 0; ///< perf_event_attr::config
-    std::string name;         ///< label used in read_scaled()
-};
-
-/// Opens each spec as its own multiplex-scaled counter on the calling
-/// thread. Specs the kernel rejects are skipped (active() reports
-/// whether any opened). read_scaled() must be called from a thread
-/// that can read the fds (any thread in this process).
-class RawCounterSet
-{
-  public:
-    explicit RawCounterSet(std::vector<RawCounterSpec> specs);
-    ~RawCounterSet();
-    RawCounterSet(const RawCounterSet&) = delete;
-    RawCounterSet& operator=(const RawCounterSet&) = delete;
-
-    bool active() const;
-
-    /// Scaled totals since construction, one entry per opened spec.
-    std::vector<std::pair<std::string, double>> read_scaled() const;
-
-  private:
-    struct Slot
-    {
-        RawCounterSpec spec;
-        int fd = -1;
-    };
-    std::vector<Slot> slots_;
 };
 
 // ---------------------------------------------------------------------------

@@ -3,16 +3,21 @@
 #include "core/link_prediction.hpp"
 #include "core/link_property_prediction.hpp"
 #include "core/node_classification.hpp"
+#include "core/pipeline.hpp"
 
 #include "embed/trainer.hpp"
 #include "gen/sbm.hpp"
 #include "graph/builder.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "walk/engine.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <string>
+#include <vector>
 
 namespace tgl::core {
 namespace {
@@ -94,6 +99,18 @@ TEST(LinkPrediction, EarlyStopOnTargetAccuracy)
     EXPECT_GE(result.valid_accuracy, 0.55);
 }
 
+/// The util::Error message @p run fails with, or "" when it returns.
+std::string
+error_message(const std::function<void()>& run)
+{
+    try {
+        run();
+    } catch (const util::Error& error) {
+        return error.what();
+    }
+    return "";
+}
+
 /// The message run_link_prediction fails with on the first @p count
 /// edges of a chain, or "" when it trains.
 std::string
@@ -108,12 +125,9 @@ tiny_edge_list_error(unsigned count)
     const LinkSplits splits =
         prepare_link_splits(edges, graph, SplitConfig{});
     embed::Embedding embedding(graph.num_nodes(), 4);
-    try {
+    return error_message([&] {
         run_link_prediction(splits, embedding, fast_classifier());
-    } catch (const util::Error& error) {
-        return error.what();
-    }
-    return "";
+    });
 }
 
 TEST(LinkPrediction, OneEdgeListFailsOnTheEmptyTrainSplit)
@@ -127,6 +141,33 @@ TEST(LinkPrediction, FourEdgeListFailsOnTheEmptyTestSplit)
 {
     // floor(0.2 * 4) = 0 test rows: AUC 0.5 over nothing.
     EXPECT_NE(tiny_edge_list_error(4).find("test split is empty"),
+              std::string::npos);
+}
+
+TEST(NodeClassification, OneNodeFailsOnTheEmptyTrainSplit)
+{
+    // floor(0.6 * 1) = 0 train rows: the epoch loss would be 0/0.
+    const NodeSplits splits = prepare_node_splits(1, SplitConfig{});
+    const std::vector<std::uint32_t> labels = {0};
+    const embed::Embedding embedding(1, 4);
+    EXPECT_NE(error_message([&] {
+                  run_node_classification(splits, labels, 2, embedding,
+                                          fast_classifier());
+              }).find("train split is empty"),
+              std::string::npos);
+}
+
+TEST(LinkProperty, OneEdgeFailsOnTheEmptyTrainSplit)
+{
+    graph::EdgeList edges;
+    edges.add(0, 1, 0.0);
+    const std::vector<std::uint32_t> labels = {0};
+    const embed::Embedding embedding(2, 4);
+    EXPECT_NE(error_message([&] {
+                  run_link_property_prediction(edges, labels, 2, embedding,
+                                               SplitConfig{},
+                                               fast_classifier());
+              }).find("train split is empty"),
               std::string::npos);
 }
 
@@ -223,6 +264,87 @@ TEST(LinkProperty, ZeroClassesThrows)
     graph::EdgeList edges;
     edges.add(0, 1, 0.5);
     EXPECT_THROW(label_edges_by_time(edges, 0), util::Error);
+}
+
+/// The six pipeline.* phase spans of one traced run close once each,
+/// in phase order without overlap, and the walk and word2vec layer
+/// spans lie inside their phases.
+void
+expect_phase_trace(const std::function<void()>& run)
+{
+    obs::TraceSession session;
+    session.start();
+    run();
+    session.stop();
+    const std::vector<obs::TraceEvent> events = session.events();
+
+    const std::vector<std::string> order = {
+        "pipeline.build_graph", "pipeline.walk",  "pipeline.word2vec",
+        "pipeline.data_prep",   "pipeline.train", "pipeline.test"};
+    std::vector<const obs::TraceEvent*> phases;
+    for (const obs::TraceEvent& event : events) {
+        if (event.name.starts_with("pipeline.")) {
+            phases.push_back(&event);
+        }
+    }
+    ASSERT_EQ(phases.size(), order.size());
+    // Timestamps are doubles in microseconds; allow their rounding.
+    constexpr double kSlackUs = 0.01;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        EXPECT_EQ(phases[i]->name, order[i]);
+        if (i > 0) {
+            EXPECT_LE(phases[i - 1]->ts_us + phases[i - 1]->dur_us,
+                      phases[i]->ts_us + kSlackUs)
+                << order[i - 1] << " overlaps " << order[i];
+        }
+    }
+
+    const auto expect_inside = [&](const std::string& child,
+                                   const obs::TraceEvent& parent) {
+        const auto it = std::find_if(
+            events.begin(), events.end(),
+            [&](const obs::TraceEvent& e) { return e.name == child; });
+        ASSERT_NE(it, events.end()) << child;
+        EXPECT_GE(it->ts_us + kSlackUs, parent.ts_us) << child;
+        EXPECT_LE(it->ts_us + it->dur_us,
+                  parent.ts_us + parent.dur_us + kSlackUs)
+            << child;
+    };
+    expect_inside("walk.generate", *phases[1]);
+    expect_inside("sgns.train", *phases[2]);
+}
+
+PipelineConfig
+tiny_pipeline()
+{
+    PipelineConfig config;
+    config.walk.walks_per_node = 2;
+    config.walk.max_length = 4;
+    config.sgns.dim = 4;
+    config.sgns.epochs = 1;
+    config.classifier.max_epochs = 2;
+    return config;
+}
+
+TEST(PipelineTrace, LinkPredictionRecordsEachPhaseOnceInOrder)
+{
+    const auto labeled = gen::generate_sbm(
+        {.num_nodes = 60, .num_edges = 600, .num_communities = 2,
+         .seed = 9});
+    expect_phase_trace([&] {
+        run_link_prediction_pipeline(labeled.edges, tiny_pipeline());
+    });
+}
+
+TEST(PipelineTrace, NodeClassificationRecordsEachPhaseOnceInOrder)
+{
+    const auto labeled = gen::generate_sbm(
+        {.num_nodes = 60, .num_edges = 600, .num_communities = 2,
+         .seed = 10});
+    expect_phase_trace([&] {
+        run_node_classification_pipeline(labeled.edges, labeled.labels, 2,
+                                         tiny_pipeline());
+    });
 }
 
 } // namespace

@@ -2,6 +2,8 @@
 /// numeric divergence must all surface as tgl::util::Error with a
 /// descriptive message — never a crash, an abort, or silent garbage.
 #include "core/link_prediction.hpp"
+#include "core/link_property_prediction.hpp"
+#include "core/node_classification.hpp"
 #include "core/pipeline.hpp"
 #include "embed/embedding.hpp"
 #include "embed/sigmoid_table.hpp"
@@ -18,6 +20,8 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace tgl {
 namespace {
@@ -192,21 +196,45 @@ TEST(NumericGuards, PoisonedFeaturesCaughtByClassifierGuard)
     // poisoned feature never reaches the loss guard — it must be
     // rejected up front with its coordinates.
     embedding.row(0)[0] = std::numeric_limits<float>::quiet_NaN();
+    // Inputs for every task, each touching node 0. One class per node
+    // also labels the edge leaving it.
     core::LinkSplits splits;
+    core::NodeSplits nodes;
+    std::vector<std::uint32_t> labels;
+    graph::EdgeList edges;
     for (graph::NodeId u = 0; u < 10; ++u) {
         splits.train.push_back({u, (u + 1) % 10, u % 2 ? 1.0f : 0.0f});
         splits.test.push_back({u, (u + 3) % 10, u % 2 ? 0.0f : 1.0f});
+        (u < 6 ? nodes.train : nodes.test).push_back(u);
+        labels.push_back(u % 2);
+        edges.add(u, (u + 1) % 10, static_cast<double>(u));
     }
     core::ClassifierConfig config;
     config.max_epochs = 5;
 
-    const std::string message = thrown_message([&] {
-        core::run_link_prediction(splits, embedding, config);
-    });
-    EXPECT_NE(message.find("link prediction"), std::string::npos)
-        << message;
-    EXPECT_NE(message.find("non-finite"), std::string::npos) << message;
-    EXPECT_NE(message.find("column"), std::string::npos) << message;
+    // All three tasks train through the same guard; each must name
+    // itself and the poisoned coordinate.
+    const std::pair<const char*, std::function<void()>> tasks[] = {
+        {"link prediction",
+         [&] { core::run_link_prediction(splits, embedding, config); }},
+        {"node classification",
+         [&] {
+             core::run_node_classification(nodes, labels, 2, embedding,
+                                           config);
+         }},
+        {"link property prediction",
+         [&] {
+             core::run_link_property_prediction(
+                 edges, labels, 2, embedding, core::SplitConfig{}, config);
+         }},
+    };
+    for (const auto& [task, run] : tasks) {
+        const std::string message = thrown_message(run);
+        EXPECT_NE(message.find(task), std::string::npos) << message;
+        EXPECT_NE(message.find("non-finite"), std::string::npos)
+            << message;
+        EXPECT_NE(message.find("column"), std::string::npos) << message;
+    }
 }
 
 } // namespace
