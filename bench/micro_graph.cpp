@@ -5,8 +5,7 @@
 #include "gen/barabasi_albert.hpp"
 #include "gen/erdos_renyi.hpp"
 #include "graph/builder.hpp"
-#include "graph/reorder.hpp"
-#include "walk/engine.hpp"
+#include "rng/random.hpp"
 
 #include <benchmark/benchmark.h>
 
@@ -101,49 +100,6 @@ BM_HasEdge(benchmark::State& state)
 }
 
 BENCHMARK(BM_HasEdge);
-
-/// SVIII-A memory-layout ablation: the walk kernel on the original,
-/// degree-sorted, and BFS-renumbered graph.
-void
-run_walks_with_order(benchmark::State& state,
-                     const graph::EdgeList& edges)
-{
-    const auto graph =
-        graph::GraphBuilder::build(edges, {.symmetrize = true});
-    walk::WalkConfig config;
-    config.walks_per_node = 2;
-    config.max_length = 6;
-    config.seed = 17;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(walk::generate_walks(graph, config));
-    }
-}
-
-void
-BM_WalkOriginalOrder(benchmark::State& state)
-{
-    run_walks_with_order(state, shared_edges());
-}
-
-void
-BM_WalkDegreeSortedOrder(benchmark::State& state)
-{
-    const graph::Reordering reordering = graph::compute_reordering(
-        shared_edges(), graph::ReorderKind::kDegreeSort);
-    run_walks_with_order(state, reordering.apply(shared_edges()));
-}
-
-void
-BM_WalkBfsOrder(benchmark::State& state)
-{
-    const graph::Reordering reordering = graph::compute_reordering(
-        shared_edges(), graph::ReorderKind::kBfs);
-    run_walks_with_order(state, reordering.apply(shared_edges()));
-}
-
-BENCHMARK(BM_WalkOriginalOrder)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_WalkDegreeSortedOrder)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_WalkBfsOrder)->Unit(benchmark::kMillisecond);
 
 void
 BM_ErdosRenyiGenerate(benchmark::State& state)

@@ -165,30 +165,6 @@ time_walks(const graph::TemporalGraph& graph, walk::WalkConfig config,
     return best;
 }
 
-/// Best-of-N wall time of generate_walks against a prebuilt transition
-/// cache — isolates the walk kernel from the (shared) cache build.
-double
-time_walks_cached(const graph::TemporalGraph& graph,
-                  const walk::WalkConfig& config,
-                  const walk::TransitionCache& cache, std::uint64_t* steps)
-{
-    constexpr int kReps = 3;
-    double best = 1e300;
-    for (int rep = 0; rep < kReps; ++rep) {
-        walk::WalkProfile profile;
-        util::Timer timer;
-        const walk::Corpus corpus =
-            walk::generate_walks(graph, config, &cache, &profile);
-        const double seconds = timer.seconds();
-        benchmark::DoNotOptimize(corpus.num_tokens());
-        if (seconds < best) {
-            best = seconds;
-            *steps = profile.steps_taken;
-        }
-    }
-    return best;
-}
-
 /// Cached-vs-direct A/B on a degree-skewed R-MAT graph (mean degree
 /// >= 16, the regime the cache targets), written to BENCH_walk.json.
 void
@@ -245,83 +221,6 @@ run_cache_comparison()
     bench::write_bench_json("BENCH_walk.json", "walk", entries);
 }
 
-/// Batched-vs-scalar A/B on the same R-MAT mean-degree-32 workload as
-/// run_cache_comparison, written to BENCH_walk_batched.json. Every
-/// variant uses the prefix-CDF cache so the measured delta is the
-/// lockstep SIMD engine itself, not cache-on vs cache-off. The file's
-/// `meta.simd_isa` records the compiled backend; the regression gate
-/// skips cross-ISA comparisons (tools/bench_compare.py).
-void
-run_batched_comparison()
-{
-    gen::RmatParams params;
-    params.scale = 14;
-    params.num_edges = 1u << 18;
-    params.seed = 5;
-    const auto graph = graph::GraphBuilder::build(generate_rmat(params),
-                                                  {.symmetrize = true});
-    const double mean_degree = static_cast<double>(graph.num_edges()) /
-                               static_cast<double>(graph.num_nodes());
-
-    walk::WalkConfig config;
-    config.walks_per_node = 4;
-    config.max_length = 20;
-    config.transition_cache = walk::TransitionCacheMode::kOn;
-    config.seed = 17;
-
-    std::vector<bench::BenchEntry> entries;
-    std::printf("\n--- batched (SIMD %s) vs scalar walker (same R-MAT "
-                "workload, mean degree %.1f, cache prebuilt) ---\n",
-                walk::batch_isa_name(), mean_degree);
-    for (const walk::TransitionKind kind :
-         {walk::TransitionKind::kExponential,
-          walk::TransitionKind::kExponentialDecay,
-          walk::TransitionKind::kLinear, walk::TransitionKind::kUniform}) {
-        config.transition = kind;
-        const std::string name = walk::transition_name(kind);
-        // Build the prefix-CDF table once outside the timed region:
-        // both engines pay an identical (amortizable) build, so timing
-        // it would only dilute the kernel delta under test.
-        const walk::TransitionCache cache =
-            walk::TransitionCache::build(graph, kind, config.num_threads);
-        double scalar_time = 0.0;
-        for (const unsigned width : {1u, 32u, 64u}) {
-            config.batch_width = width;
-            std::uint64_t steps = 0;
-            const double seconds =
-                time_walks_cached(graph, config, cache, &steps);
-            const std::string variant =
-                width == 1 ? "scalar" : util::strcat("w", width);
-            bench::BenchEntry entry{
-                "walk_batched/" + name + "/" + variant, seconds,
-                seconds > 0.0 ? steps / seconds : 0.0,
-                {{"steps", static_cast<double>(steps)},
-                 {"batch_width", static_cast<double>(width)},
-                 {"mean_degree", mean_degree}}};
-            if (width == 1) {
-                scalar_time = seconds;
-            } else {
-                entry.metrics.emplace_back(
-                    "speedup_vs_scalar",
-                    seconds > 0.0 ? scalar_time / seconds : 0.0);
-            }
-            entries.push_back(std::move(entry));
-            if (width == 1) {
-                std::printf("%-10s %-6s %8.4fs\n", name.c_str(),
-                            variant.c_str(), seconds);
-            } else {
-                std::printf("%-10s %-6s %8.4fs | speedup %5.2fx\n",
-                            name.c_str(), variant.c_str(), seconds,
-                            seconds > 0.0 ? scalar_time / seconds : 0.0);
-            }
-        }
-    }
-    bench::write_bench_json(
-        "BENCH_walk_batched.json", "walk_batched", entries,
-        {{"simd_isa", walk::batch_isa_name()},
-         {"f64_lanes", std::to_string(walk::batch_f64_lanes())}});
-}
-
 } // namespace
 
 int
@@ -334,6 +233,5 @@ main(int argc, char** argv)
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
     run_cache_comparison();
-    run_batched_comparison();
     return 0;
 }

@@ -184,9 +184,6 @@ cmd_walk(int argc, const char* const* argv)
                  "uniform | exp | exp-decay | linear");
     cli.add_flag("transition-cache", "auto",
                  "prefix-CDF sampling cache: on | off | auto");
-    cli.add_flag("batch-width", "auto",
-                 "SIMD walker lanes per batch: auto | 1..64 (1 = exact "
-                 "scalar engine)");
     cli.add_flag("start", "node", "node | edge");
     cli.add_flag("seed", "1", "random seed");
     cli.add_switch("static", "ignore timestamps (DeepWalk baseline)");
@@ -206,8 +203,6 @@ cmd_walk(int argc, const char* const* argv)
         walk::parse_transition(cli.get_string("transition"));
     config.transition_cache = walk::parse_transition_cache_mode(
         cli.get_string("transition-cache"));
-    config.batch_width =
-        walk::parse_batch_width(cli.get_string("batch-width"));
     config.temporal = !cli.get_switch("static");
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     if (cli.get_string("start") == "edge") {
@@ -403,9 +398,6 @@ cmd_pipeline(int argc, const char* const* argv)
                  "word2vec team size (1 = deterministic resume)");
     cli.add_flag("transition-cache", "auto",
                  "prefix-CDF sampling cache: on | off | auto");
-    cli.add_flag("batch-width", "auto",
-                 "SIMD walker lanes per batch: auto | 1..64 (1 = exact "
-                 "scalar engine)");
     cli.add_flag("seed", "1", "random seed");
     cli.add_flag("checkpoint-dir", "",
                  "resume phase artifacts from / persist them to this "
@@ -446,8 +438,6 @@ cmd_pipeline(int argc, const char* const* argv)
     config.walk.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     config.walk.transition_cache = walk::parse_transition_cache_mode(
         cli.get_string("transition-cache"));
-    config.walk.batch_width =
-        walk::parse_batch_width(cli.get_string("batch-width"));
     config.sgns.dim = static_cast<unsigned>(cli.get_int("dim"));
     config.sgns.epochs = static_cast<unsigned>(cli.get_int("epochs"));
     config.sgns.seed = static_cast<std::uint64_t>(cli.get_int("seed"));

@@ -43,12 +43,6 @@ mix_config(util::Fingerprint& fp, const walk::WalkConfig& config)
     // one per candidate, so the two modes produce different (equally
     // distributed) corpora from the same seed.
     fp.mix(static_cast<std::uint32_t>(config.transition_cache));
-    // Same story for the batch width: widths > 1 consume the per-lane
-    // RNG streams differently from the scalar sampler (one uniform
-    // per step vs the kind-dependent scalar pattern), so the width is
-    // output-affecting and a resumed pipeline must not mix corpora
-    // generated under different widths.
-    fp.mix(config.batch_width);
     // num_threads and linear_neighbor_search change only speed: walks
     // are seeded per (walk, vertex) and both neighbor searches select
     // the same edges.

@@ -3,9 +3,8 @@
 ///
 /// This is the only TU in the library that sees the SGNS vector
 /// intrinsics: under -DTGL_SIMD=auto|avx2 CMake compiles exactly this
-/// file (and walk/batch.cpp) with -mavx2, so no other object file ever
-/// contains AVX2 instructions (same pattern as the batched walker —
-/// see src/CMakeLists.txt).
+/// file and nn/link_kernel.cpp with -mavx2, so no other object file
+/// ever contains AVX2 instructions (see src/CMakeLists.txt).
 ///
 /// The sigmoid kernel reproduces SigmoidTable's law exactly, in this
 /// order: gather values_[clamped index], force x <= -6 lanes to 0,

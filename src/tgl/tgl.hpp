@@ -49,8 +49,6 @@
 #include "graph/builder.hpp"
 #include "graph/edge_list.hpp"
 #include "graph/io.hpp"
-#include "graph/reorder.hpp"
-#include "graph/snapshot.hpp"
 #include "graph/stats.hpp"
 #include "graph/temporal_graph.hpp"
 #include "graph/types.hpp"
@@ -64,7 +62,6 @@
 #include "gen/timestamps.hpp"
 
 // walk: temporal random walk engine
-#include "walk/batch.hpp"
 #include "walk/config.hpp"
 #include "walk/corpus.hpp"
 #include "walk/engine.hpp"

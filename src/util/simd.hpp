@@ -1,41 +1,23 @@
 /// @file
-/// Portable SIMD shim for the batched walker engine (f64), the SGNS
-/// kernel layer and the link-predictor kernel (f32).
+/// Portable f32 SIMD shim for the SGNS kernel layer and the
+/// link-predictor kernel.
 ///
 /// Exactly one backend is selected at compile time:
 ///
-///   - AVX2  (x86-64 with __AVX2__): 4 f64 / 8 f32 lanes, i32 gathers
-///   - NEON  (aarch64 with __ARM_NEON): 2 f64 / 4 f32 lanes, emulated
-///     gathers
-///   - scalar fallback everywhere else: 4 f64 / 8 f32 lane arrays +
-///     plain loops
+///   - AVX2  (x86-64 with __AVX2__): 8 f32 lanes, i32 gathers
+///   - NEON  (aarch64 with __ARM_NEON): 4 f32 lanes, emulated gathers
+///   - scalar fallback everywhere else: 8-lane f32 arrays + plain loops
 ///
 /// Defining TGL_SIMD_FORCE_SCALAR forces the scalar backend even when
 /// vector intrinsics are available — the CI scalar-fallback job builds
 /// with it so the portable path stays exercised.
 ///
-/// Design constraints the batch kernel relies on:
-///
-///   - All *index* arithmetic happens in doubles. Every index the
-///     kernel manipulates is an exact non-negative integer < 2^31
-///     (resolve_batch_width refuses larger graphs), and doubles
-///     represent integers exactly up to 2^53, so floor/add/sub on
-///     indices are exact. This sidesteps AVX2's lack of useful 64-bit
-///     integer compares and lets one VDouble type carry both values
-///     and positions.
-///   - vgather takes its indices as integer-valued doubles and a lane
-///     mask; masked-off lanes are NOT dereferenced (their index may be
-///     garbage) and receive @p fallback instead. This makes lockstep
-///     binary searches safe once some lanes have converged.
-///   - Comparison results (VBool) are opaque per-backend masks; they
-///     only flow into vselect / vand / vany.
-///
-/// The f32 half (VFloat, f-prefixed operations) serves the SGNS kernels
+/// The f32 operations (VFloat, f-prefixed) serve the SGNS kernels
 /// in embed/kernels.cpp (dot/axpy over embedding rows plus a sigmoid
 /// LUT gather) and the link-predictor kernel in nn/link_kernel.cpp
-/// (lanes over hidden units). Its gather (fgather) takes *unmasked*
+/// (lanes over hidden units). The gather (fgather) takes *unmasked*
 /// integer-valued float indices — the caller clamps them into the table
-/// first — and its ordering-sensitive operations pin down NaN behavior:
+/// first — and the ordering-sensitive operations pin down NaN behavior:
 ///
 ///   - fmax(a, b) returns b when a is NaN on AVX2/scalar (the vmaxps
 ///     second-operand rule); NEON propagates the NaN instead, which is
@@ -53,9 +35,8 @@
 /// same adds as that backend's fhsum in the same association order.
 /// The SGNS pair kernel uses it to reduce a chunk of dot products.
 ///
-/// The shim is deliberately tiny: just the operations the lockstep
-/// searches in walk/batch.cpp and the two f32 kernels need, nothing
-/// speculative.
+/// The shim is deliberately tiny: just the operations the two f32
+/// kernels need, nothing speculative.
 #pragma once
 
 #include <cstddef>
@@ -77,56 +58,7 @@ namespace tgl::util::simd {
 
 #if defined(TGL_SIMD_AVX2)
 
-inline constexpr std::size_t kF64Lanes = 4;
 inline constexpr const char* kIsaName = "avx2";
-
-using VDouble = __m256d;
-/// Lane mask: all-ones / all-zeros per 64-bit lane, stored as doubles
-/// (the natural output of _mm256_cmp_pd and input of blendv/gather).
-using VBool = __m256d;
-
-inline VDouble vsplat(double x) { return _mm256_set1_pd(x); }
-inline VDouble vload(const double* p) { return _mm256_loadu_pd(p); }
-inline void vstore(double* p, VDouble v) { _mm256_storeu_pd(p, v); }
-inline VDouble vadd(VDouble a, VDouble b) { return _mm256_add_pd(a, b); }
-inline VDouble vsub(VDouble a, VDouble b) { return _mm256_sub_pd(a, b); }
-inline VDouble vmul(VDouble a, VDouble b) { return _mm256_mul_pd(a, b); }
-inline VDouble vmin(VDouble a, VDouble b) { return _mm256_min_pd(a, b); }
-inline VDouble
-vfloor(VDouble a)
-{
-    return _mm256_round_pd(a, _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
-}
-inline VBool vlt(VDouble a, VDouble b)
-{
-    return _mm256_cmp_pd(a, b, _CMP_LT_OQ);
-}
-inline VBool vle(VDouble a, VDouble b)
-{
-    return _mm256_cmp_pd(a, b, _CMP_LE_OQ);
-}
-inline VBool vgt(VDouble a, VDouble b)
-{
-    return _mm256_cmp_pd(a, b, _CMP_GT_OQ);
-}
-inline VBool vand(VBool a, VBool b) { return _mm256_and_pd(a, b); }
-inline VDouble
-vselect(VBool mask, VDouble a, VDouble b)
-{
-    // mask ? a : b, lane-wise.
-    return _mm256_blendv_pd(b, a, mask);
-}
-inline bool vany(VBool mask) { return _mm256_movemask_pd(mask) != 0; }
-
-/// base[(int)idx[lane]] for active lanes, @p fallback elsewhere.
-/// Masked-off lanes are not dereferenced.
-inline VDouble
-vgather(const double* base, VDouble idx, VBool active, double fallback)
-{
-    const __m128i vindex = _mm256_cvttpd_epi32(idx);
-    return _mm256_mask_i32gather_pd(vsplat(fallback), base, vindex, active,
-                                    /*scale=*/8);
-}
 
 inline void
 prefetch_read(const void* p)
@@ -218,49 +150,7 @@ fgather(const float* base, VFloat idx)
 
 #elif defined(TGL_SIMD_NEON)
 
-inline constexpr std::size_t kF64Lanes = 2;
 inline constexpr const char* kIsaName = "neon";
-
-using VDouble = float64x2_t;
-using VBool = uint64x2_t;
-
-inline VDouble vsplat(double x) { return vdupq_n_f64(x); }
-inline VDouble vload(const double* p) { return vld1q_f64(p); }
-inline void vstore(double* p, VDouble v) { vst1q_f64(p, v); }
-inline VDouble vadd(VDouble a, VDouble b) { return vaddq_f64(a, b); }
-inline VDouble vsub(VDouble a, VDouble b) { return vsubq_f64(a, b); }
-inline VDouble vmul(VDouble a, VDouble b) { return vmulq_f64(a, b); }
-inline VDouble vmin(VDouble a, VDouble b) { return vminq_f64(a, b); }
-inline VDouble vfloor(VDouble a) { return vrndmq_f64(a); }
-inline VBool vlt(VDouble a, VDouble b) { return vcltq_f64(a, b); }
-inline VBool vle(VDouble a, VDouble b) { return vcleq_f64(a, b); }
-inline VBool vgt(VDouble a, VDouble b) { return vcgtq_f64(a, b); }
-inline VBool vand(VBool a, VBool b) { return vandq_u64(a, b); }
-inline VDouble
-vselect(VBool mask, VDouble a, VDouble b)
-{
-    return vbslq_f64(mask, a, b);
-}
-inline bool
-vany(VBool mask)
-{
-    return (vgetq_lane_u64(mask, 0) | vgetq_lane_u64(mask, 1)) != 0;
-}
-
-inline VDouble
-vgather(const double* base, VDouble idx, VBool active, double fallback)
-{
-    // NEON has no gather; emulate lane-wise without touching memory
-    // behind masked-off lanes.
-    double out[2] = {fallback, fallback};
-    if (vgetq_lane_u64(active, 0) != 0) {
-        out[0] = base[static_cast<std::int64_t>(vgetq_lane_f64(idx, 0))];
-    }
-    if (vgetq_lane_u64(active, 1) != 0) {
-        out[1] = base[static_cast<std::int64_t>(vgetq_lane_f64(idx, 1))];
-    }
-    return vld1q_f64(out);
-}
 
 inline void
 prefetch_read(const void* p)
@@ -325,154 +215,8 @@ fgather(const float* base, VFloat idx)
 
 #else // scalar fallback
 
-inline constexpr std::size_t kF64Lanes = 4;
 inline constexpr const char* kIsaName = "scalar";
 
-struct VDouble
-{
-    double lane[kF64Lanes];
-};
-struct VBool
-{
-    bool lane[kF64Lanes];
-};
-
-inline VDouble
-vsplat(double x)
-{
-    VDouble v;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        v.lane[i] = x;
-    }
-    return v;
-}
-inline VDouble
-vload(const double* p)
-{
-    VDouble v;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        v.lane[i] = p[i];
-    }
-    return v;
-}
-inline void
-vstore(double* p, VDouble v)
-{
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        p[i] = v.lane[i];
-    }
-}
-inline VDouble
-vadd(VDouble a, VDouble b)
-{
-    VDouble v;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        v.lane[i] = a.lane[i] + b.lane[i];
-    }
-    return v;
-}
-inline VDouble
-vsub(VDouble a, VDouble b)
-{
-    VDouble v;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        v.lane[i] = a.lane[i] - b.lane[i];
-    }
-    return v;
-}
-inline VDouble
-vmul(VDouble a, VDouble b)
-{
-    VDouble v;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        v.lane[i] = a.lane[i] * b.lane[i];
-    }
-    return v;
-}
-inline VDouble
-vmin(VDouble a, VDouble b)
-{
-    VDouble v;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        v.lane[i] = a.lane[i] < b.lane[i] ? a.lane[i] : b.lane[i];
-    }
-    return v;
-}
-inline VDouble
-vfloor(VDouble a)
-{
-    VDouble v;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        v.lane[i] = std::floor(a.lane[i]);
-    }
-    return v;
-}
-inline VBool
-vlt(VDouble a, VDouble b)
-{
-    VBool m;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        m.lane[i] = a.lane[i] < b.lane[i];
-    }
-    return m;
-}
-inline VBool
-vle(VDouble a, VDouble b)
-{
-    VBool m;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        m.lane[i] = a.lane[i] <= b.lane[i];
-    }
-    return m;
-}
-inline VBool
-vgt(VDouble a, VDouble b)
-{
-    VBool m;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        m.lane[i] = a.lane[i] > b.lane[i];
-    }
-    return m;
-}
-inline VBool
-vand(VBool a, VBool b)
-{
-    VBool m;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        m.lane[i] = a.lane[i] && b.lane[i];
-    }
-    return m;
-}
-inline VDouble
-vselect(VBool mask, VDouble a, VDouble b)
-{
-    VDouble v;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        v.lane[i] = mask.lane[i] ? a.lane[i] : b.lane[i];
-    }
-    return v;
-}
-inline bool
-vany(VBool mask)
-{
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        if (mask.lane[i]) {
-            return true;
-        }
-    }
-    return false;
-}
-inline VDouble
-vgather(const double* base, VDouble idx, VBool active, double fallback)
-{
-    VDouble v;
-    for (std::size_t i = 0; i < kF64Lanes; ++i) {
-        v.lane[i] = active.lane[i]
-                        ? base[static_cast<std::int64_t>(idx.lane[i])]
-                        : fallback;
-    }
-    return v;
-}
 inline void
 prefetch_read(const void* p)
 {

@@ -49,9 +49,6 @@ enum class TransitionCacheMode
 /// Parse a cache mode name: "off", "on", "auto".
 TransitionCacheMode parse_transition_cache_mode(const std::string& name);
 
-/// Parse a batch width: "auto" (-> 0) or an integer in [1, 64].
-unsigned parse_batch_width(const std::string& name);
-
 /// Human-readable cache mode name.
 const char* transition_cache_mode_name(TransitionCacheMode mode);
 
@@ -96,14 +93,7 @@ struct WalkConfig
     /// Walks shorter than this many nodes are dropped from the corpus
     /// (a single-token walk carries no skip-gram signal).
     unsigned min_walk_tokens = 2;
-    /// SIMD walker lanes advanced in lockstep per batch (walk/batch.hpp):
-    /// 1 pins the scalar engine (byte-identical to the pre-batching
-    /// corpus), 0 means auto (kAutoBatchWidth when the graph and
-    /// transition model are eligible, scalar otherwise). Widths > 1
-    /// draw from the same distribution as the scalar sampler but
-    /// consume RNG streams differently, so — like transition_cache —
-    /// the width legitimately changes which corpus a seed produces and
-    /// participates in the walk fingerprint.
+    /// Inert (nothing reads it), kept only for the frozen benchmark.
     unsigned batch_width = 1;
     /// Base seed; each (walk, vertex) pair derives its own stream, so
     /// output is identical regardless of thread schedule.
@@ -124,11 +114,9 @@ struct WalkConfig
         if (max_length == 0) {
             problems.push_back("max_length must be >= 1");
         }
-        if (batch_width > 64) {
-            problems.push_back(
-                "batch_width (" + std::to_string(batch_width) +
-                ") exceeds the engine's lane cap (64); use 1, 8, 16 "
-                "or 0 for auto");
+        if (max_length > 254) {
+            // The engine stores each walk's token count in one byte.
+            problems.push_back("max_length must be <= 254");
         }
         if (min_walk_tokens > max_length + 1) {
             problems.push_back(

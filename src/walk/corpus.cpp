@@ -11,21 +11,6 @@
 namespace tgl::walk {
 
 void
-Corpus::append(Corpus&& other)
-{
-    const std::size_t base = tokens_.size();
-    tokens_.reserve(tokens_.size() + other.tokens_.size());
-    tokens_.insert(tokens_.end(), other.tokens_.begin(),
-                   other.tokens_.end());
-    offsets_.reserve(offsets_.size() + other.num_walks());
-    for (std::size_t i = 1; i < other.offsets_.size(); ++i) {
-        offsets_.push_back(base + other.offsets_[i]);
-    }
-    other.tokens_.clear();
-    other.offsets_.assign(1, 0);
-}
-
-void
 Corpus::save(std::ostream& out) const
 {
     for (std::size_t i = 0; i < num_walks(); ++i) {

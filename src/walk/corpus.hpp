@@ -52,9 +52,6 @@ class Corpus
         return offsets_[i + 1] - offsets_[i];
     }
 
-    /// Move another corpus's walks onto the end of this one.
-    void append(Corpus&& other);
-
     /// Raw flat access for trainers.
     const std::vector<graph::NodeId>& tokens() const { return tokens_; }
     const std::vector<std::size_t>& offsets() const { return offsets_; }

@@ -1,16 +1,15 @@
 #include "walk/engine.hpp"
 
 #include "obs/metrics.hpp"
-#include "walk/batch.hpp"
 #include "obs/perf_events.hpp"
 #include "obs/trace.hpp"
 #include "rng/splitmix64.hpp"
 #include "util/error.hpp"
-#include "util/logging.hpp"
 #include "util/parallel_for.hpp"
 #include "util/rank_slots.hpp"
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 namespace tgl::walk {
@@ -140,7 +139,7 @@ run_edge_start_walk(const graph::TemporalGraph& graph,
 }
 
 /// Walk one slot into @p tokens, deriving the slot's RNG stream from
-/// the base seed — the seeding contract the batched lanes share.
+/// the base seed, so the corpus is the same for any thread count.
 std::size_t
 walk_slot(const graph::TemporalGraph& graph, const WalkConfig& config,
           const TransitionCache* cache, std::size_t slot_index,
@@ -164,38 +163,41 @@ walk_slot(const graph::TemporalGraph& graph, const WalkConfig& config,
     return written;
 }
 
-/// Input validation shared by every generation entry point.
+/// The config's own rules (WalkConfig::validate) plus the one check
+/// that needs the graph; throws listing every problem.
 void
 validate_walk_inputs(const graph::TemporalGraph& graph,
-                     const WalkConfig& config, const char* who)
+                     const WalkConfig& config)
 {
-    if (config.max_length == 0) {
-        util::fatal(util::strcat(who, ": max_length must be >= 1"));
-    }
-    if (config.max_length > 254) {
-        util::fatal(util::strcat(who, ": max_length must be <= 254"));
-    }
-    if (config.walks_per_node == 0) {
-        util::fatal(util::strcat(who, ": walks_per_node must be >= 1"));
-    }
+    std::vector<std::string> problems = config.validate();
     if (config.start == StartKind::kTemporalEdge &&
         graph.num_edges() == 0) {
-        util::fatal(util::strcat(who, ": edge-start walks need edges"));
+        problems.push_back("edge-start walks need edges");
     }
+    if (problems.empty()) {
+        return;
+    }
+    std::string message = "generate_walks";
+    for (std::size_t i = 0; i < problems.size(); ++i) {
+        message += (i == 0 ? ": " : "; ") + problems[i];
+    }
+    util::fatal(message);
 }
 
-} // namespace
-
+/// Number of walk slots one full generation covers: K × |V| for both
+/// start policies, so the corpus budget is comparable across them.
 std::size_t
 total_walk_slots(const graph::TemporalGraph& graph,
                  const WalkConfig& config)
 {
-    // Both policies generate walks_per_node * num_nodes walks so the
-    // corpus budget is comparable across start policies.
     return static_cast<std::size_t>(graph.num_nodes()) *
            config.walks_per_node;
 }
 
+/// Expected tokens per walk for pre-sizing corpus storage. Real
+/// temporal walks terminate early (Fig. 4: most are 1-5 tokens), so
+/// this caps the optimistic max_length+1 estimate instead of reserving
+/// the worst case.
 std::size_t
 expected_tokens_per_walk(const WalkConfig& config)
 {
@@ -203,6 +205,7 @@ expected_tokens_per_walk(const WalkConfig& config)
         static_cast<std::size_t>(config.max_length) + 1, 6);
 }
 
+/// Fold @p from into @p into (all counters, including walks_kept).
 void
 accumulate_profile(WalkProfile& into, const WalkProfile& from)
 {
@@ -212,12 +215,12 @@ accumulate_profile(WalkProfile& into, const WalkProfile& from)
     into.dead_ends += from.dead_ends;
     into.candidates_scanned += from.candidates_scanned;
     into.cached_steps += from.cached_steps;
-    into.batched_steps += from.batched_steps;
     into.transition_cost.memory_ops += from.transition_cost.memory_ops;
     into.transition_cost.branch_ops += from.transition_cost.branch_ops;
     into.transition_cost.compute_ops += from.transition_cost.compute_ops;
 }
 
+/// Emit the walk.* registry counters for one completed walk phase.
 void
 report_walk_metrics(const WalkProfile& totals)
 {
@@ -226,7 +229,6 @@ report_walk_metrics(const WalkProfile& totals)
     registry.counter("walk.walks.kept").add(totals.walks_kept);
     registry.counter("walk.steps").add(totals.steps_taken);
     registry.counter("walk.steps.cached").add(totals.cached_steps);
-    registry.counter("walk.steps.batched").add(totals.batched_steps);
     registry.counter("walk.steps.direct")
         .add(totals.steps_taken - totals.cached_steps);
     registry.counter("walk.dead_ends").add(totals.dead_ends);
@@ -234,21 +236,13 @@ report_walk_metrics(const WalkProfile& totals)
         .add(totals.candidates_scanned);
 }
 
+} // namespace
+
 Corpus
 generate_walks(const graph::TemporalGraph& graph, const WalkConfig& config,
                WalkProfile* profile)
 {
-    bool build = use_transition_cache(config, graph);
-    if (!build && config.transition_cache != TransitionCacheMode::kOff &&
-        (config.transition == TransitionKind::kExponential ||
-         config.transition == TransitionKind::kExponentialDecay) &&
-        resolve_batch_width(config, graph, /*has_cache=*/true) > 1) {
-        // Batched softmax draws need the prefix-CDF table even where
-        // kAuto's mean-degree heuristic would skip it; an explicit
-        // kOff still wins (and pins the scalar engine).
-        build = true;
-    }
-    if (build) {
+    if (use_transition_cache(config, graph)) {
         const TransitionCache cache = TransitionCache::build(
             graph, config.transition, config.num_threads);
         return generate_walks(graph, config, &cache, profile);
@@ -260,7 +254,7 @@ Corpus
 generate_walks(const graph::TemporalGraph& graph, const WalkConfig& config,
                const TransitionCache* cache, WalkProfile* profile)
 {
-    validate_walk_inputs(graph, config, "generate_walks");
+    validate_walk_inputs(graph, config);
 
     obs::Span span("walk.generate");
 
@@ -295,58 +289,24 @@ generate_walks(const graph::TemporalGraph& graph, const WalkConfig& config,
     // cross-thread reads in close() safe.
     obs::PerfRankScopes perf_scopes("walk", max_team);
 
-    const unsigned batch_width =
-        resolve_batch_width(config, graph, cache != nullptr);
-    if (batch_width > 1) {
-        log_batch_dispatch(batch_width);
-    }
-
     for (std::size_t block_begin = 0; block_begin < total_walks;
          block_begin += block) {
         const std::size_t block_end =
             std::min(total_walks, block_begin + block);
 
-        if (batch_width > 1) {
-            // Batched path: each parallel work item is one lane pool
-            // over kBatchRefillFactor x batch_width consecutive slots
-            // writing its rows into the shared block buffer. Lane RNG
-            // streams stay per-slot, so the corpus is identical for
-            // any thread count.
-            const std::size_t group_slots =
-                batch_width * kBatchRefillFactor;
-            const std::size_t groups =
-                (block_end - block_begin + group_slots - 1) / group_slots;
-            util::parallel_for_ranked(
-                0, groups,
-                [&](std::size_t group, unsigned rank) {
-                    perf_scopes.ensure(rank);
-                    const std::size_t begin =
-                        block_begin + group * group_slots;
-                    const std::size_t end =
-                        std::min(block_end, begin + group_slots);
-                    const std::size_t slot = begin - block_begin;
-                    run_walk_batch(graph, config, cache, {begin, end},
-                                   batch_width,
-                                   buffer.data() + slot * tokens_per_walk,
-                                   tokens_per_walk, lengths.data() + slot,
-                                   ranks[rank].profile);
-                },
-                {.num_threads = config.num_threads});
-        } else {
-            util::parallel_for_ranked(
-                block_begin, block_end,
-                [&](std::size_t slot_index, unsigned rank) {
-                    perf_scopes.ensure(rank);
-                    const std::size_t slot = slot_index - block_begin;
-                    graph::NodeId* tokens =
-                        buffer.data() + slot * tokens_per_walk;
-                    const std::size_t written =
-                        walk_slot(graph, config, cache, slot_index, tokens,
-                                  ranks[rank].scratch, ranks[rank].profile);
-                    lengths[slot] = static_cast<std::uint8_t>(written);
-                },
-                {.num_threads = config.num_threads});
-        }
+        util::parallel_for_ranked(
+            block_begin, block_end,
+            [&](std::size_t slot_index, unsigned rank) {
+                perf_scopes.ensure(rank);
+                const std::size_t slot = slot_index - block_begin;
+                graph::NodeId* tokens =
+                    buffer.data() + slot * tokens_per_walk;
+                const std::size_t written =
+                    walk_slot(graph, config, cache, slot_index, tokens,
+                              ranks[rank].scratch, ranks[rank].profile);
+                lengths[slot] = static_cast<std::uint8_t>(written);
+            },
+            {.num_threads = config.num_threads});
 
         for (std::size_t slot_index = block_begin;
              slot_index < block_end; ++slot_index) {

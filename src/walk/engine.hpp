@@ -34,8 +34,8 @@ struct WalkProfile
     std::uint64_t dead_ends = 0;       ///< empty temporal neighborhood
     std::uint64_t candidates_scanned = 0; ///< neighbor records examined
     std::uint64_t cached_steps = 0;    ///< steps drawn via the cache
-    std::uint64_t batched_steps = 0;   ///< steps advanced by the SIMD
-                                       ///< batch kernel (walk/batch.hpp)
+    /// Inert (always 0), kept only for the frozen benchmark.
+    std::uint64_t batched_steps = 0;
     TransitionCost transition_cost;
 };
 
@@ -59,35 +59,5 @@ Corpus generate_walks(const graph::TemporalGraph& graph,
 Corpus generate_walks(const graph::TemporalGraph& graph,
                       const WalkConfig& config,
                       const TransitionCache* cache, WalkProfile* profile);
-
-/// Number of walk slots one full generation covers: K × |V| for both
-/// start policies (the corpus budget is policy-independent). Slot i is
-/// walk i / |V| of vertex i % |V| under the node-start policy and one
-/// uniformly drawn temporal edge otherwise; either way slot i seeds its
-/// RNG stream as mix_seed(seed, i).
-std::size_t total_walk_slots(const graph::TemporalGraph& graph,
-                             const WalkConfig& config);
-
-/// Contiguous slot range [begin, end) — the unit one batched lane pool
-/// walks (run_walk_batch).
-struct SlotRange
-{
-    std::size_t begin = 0;
-    std::size_t end = 0;
-
-    std::size_t size() const { return end - begin; }
-};
-
-/// Expected tokens per walk for pre-sizing corpus storage. Real
-/// temporal walks terminate early (Fig. 4: most are 1-5 tokens), so
-/// this caps the optimistic max_length+1 estimate instead of reserving
-/// the worst case.
-std::size_t expected_tokens_per_walk(const WalkConfig& config);
-
-/// Fold @p from into @p into (all counters, including walks_kept).
-void accumulate_profile(WalkProfile& into, const WalkProfile& from);
-
-/// Emit the walk.* registry counters for one completed walk phase.
-void report_walk_metrics(const WalkProfile& totals);
 
 } // namespace tgl::walk

@@ -26,28 +26,6 @@ parse_transition(const std::string& name)
     util::fatal(util::strcat("unknown transition kind: ", name));
 }
 
-unsigned
-parse_batch_width(const std::string& name)
-{
-    if (name == "auto") {
-        return 0;
-    }
-    unsigned width = 0;
-    try {
-        const unsigned long parsed = std::stoul(name);
-        width = static_cast<unsigned>(parsed);
-        if (parsed == 0 || parsed > 64) {
-            width = 0;
-            throw std::out_of_range(name);
-        }
-    } catch (const std::exception&) {
-        util::fatal(util::strcat("invalid batch width: ", name,
-                                 " (expected auto or an integer in "
-                                 "[1, 64])"));
-    }
-    return width;
-}
-
 const char*
 transition_name(TransitionKind kind)
 {

@@ -11,7 +11,6 @@
 #include "rng/random.hpp"
 #include "walk/config.hpp"
 
-#include <bit>
 #include <span>
 
 namespace tgl::walk {
@@ -26,28 +25,6 @@ struct TransitionCost
     std::uint64_t branch_ops = 0;
     std::uint64_t compute_ops = 0;
 };
-
-/// Probe count of a binary search over @p n candidates — the shared
-/// cost-model constant for every O(log d) draw (cache and batched).
-inline std::uint64_t
-search_probes(std::size_t n)
-{
-    // 1 + floor(log2(n)) for n >= 1, i.e. bit_width; 1 for n == 0.
-    return n > 1 ? std::bit_width(static_cast<std::uint64_t>(n)) : 1;
-}
-
-/// Cumulative descending-rank weight of kLinear: candidates 0..j of a
-/// suffix of size m carry weights m, m-1, ..., m-j, summing to
-/// (j+1)(2m-j)/2. Exact in doubles for any realistic degree (< 2^26).
-/// Shared by the cached scalar draw and the batched lockstep search so
-/// both invert the same CDF bit-for-bit.
-inline double
-linear_cumulative(std::size_t m, std::size_t j)
-{
-    const double dm = static_cast<double>(m);
-    const double dj = static_cast<double>(j);
-    return (dj + 1.0) * (2.0 * dm - dj) / 2.0;
-}
 
 /// Pick the index of the next edge within @p candidates according to
 /// the transition model. @p now is the walker's clock and @p time_range

@@ -7,6 +7,7 @@
 #include "util/parallel_for.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <fstream>
 
@@ -16,6 +17,26 @@ namespace {
 
 constexpr std::string_view kCacheKind = "trcache";
 constexpr std::uint32_t kCachePayloadVersion = 1;
+
+/// Probe count of a binary search over @p n candidates — the
+/// cost-model constant for every O(log d) draw.
+std::uint64_t
+search_probes(std::size_t n)
+{
+    // 1 + floor(log2(n)) for n >= 1, i.e. bit_width; 1 for n == 0.
+    return n > 1 ? std::bit_width(static_cast<std::uint64_t>(n)) : 1;
+}
+
+/// Cumulative descending-rank weight of kLinear: candidates 0..j of a
+/// suffix of size m carry weights m, m-1, ..., m-j, summing to
+/// (j+1)(2m-j)/2. Exact in doubles for any realistic degree (< 2^26).
+double
+linear_cumulative(std::size_t m, std::size_t j)
+{
+    const double dm = static_cast<double>(m);
+    const double dj = static_cast<double>(j);
+    return (dj + 1.0) * (2.0 * dm - dj) / 2.0;
+}
 
 } // namespace
 

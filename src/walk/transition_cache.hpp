@@ -93,16 +93,6 @@ class TransitionCache
                        graph::Timestamp now, rng::Random& random,
                        TransitionCost* cost = nullptr) const;
 
-    /// Read-only view of the per-edge prefix sums (empty for
-    /// kUniform / kLinear). The batched engine's lockstep CDF search
-    /// reads this directly instead of going through sample().
-    std::span<const double> prefix() const { return prefix_; }
-
-    /// Effective r of Eq. 1 this cache was built with (the graph's
-    /// timespan, 0 treated as 1) — needed by callers that mirror the
-    /// degenerate-mass fallback to the direct sampler.
-    double rate_scale() const { return rate_scale_; }
-
     /// Serialize into the checksummed artifact container.
     void save_binary(std::ostream& out, std::uint64_t fingerprint) const;
     void save_binary_file(const std::string& path,

@@ -21,18 +21,40 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
+
+#include <unistd.h>
 
 namespace tgl::core {
 namespace {
 
-std::string
-scratch_dir(const std::string& name)
+/// A checkpoint directory private to this process, removed when the
+/// test ends, pass or fail. `ctest -j` runs the whole-binary
+/// chaos/test_chaos entry beside the per-test entries; a shared path
+/// would let one process resume the other's artifacts.
+class ScratchDir
 {
-    const std::string path = testing::TempDir() + "/tgl_chaos_" + name;
-    std::filesystem::remove_all(path);
-    return path;
-}
+  public:
+    explicit ScratchDir(const std::string& name)
+        : path_(testing::TempDir() + "/tgl_chaos_" +
+                std::to_string(::getpid()) + "_" + name)
+    {
+        std::filesystem::remove_all(path_);
+    }
+    ~ScratchDir()
+    {
+        std::error_code ignored;
+        std::filesystem::remove_all(path_, ignored);
+    }
+    ScratchDir(const ScratchDir&) = delete;
+    ScratchDir& operator=(const ScratchDir&) = delete;
+
+    const std::string& path() const { return path_; }
+
+  private:
+    std::string path_;
+};
 
 /// Small deterministic temporal graph: a ring with chords and
 /// increasing timestamps (the checkpoint suite's workload).
@@ -141,10 +163,9 @@ TEST_P(ChaosSchedule, ConvergesToFaultFreeArtifacts)
 
     // Fault-free reference run, checkpointed so its artifacts can be
     // compared byte-for-byte.
-    const std::string reference_dir =
-        scratch_dir("ref_" + std::to_string(seed));
+    const ScratchDir reference_dir("ref_" + std::to_string(seed));
     PipelineConfig config = test_config();
-    config.checkpoint_dir = reference_dir;
+    config.checkpoint_dir = reference_dir.path();
     const PipelineResult reference =
         run_link_prediction_pipeline(edges, config);
     ASSERT_TRUE(reference.checkpoints.embedding_stored);
@@ -153,9 +174,8 @@ TEST_P(ChaosSchedule, ConvergesToFaultFreeArtifacts)
     // failed run must leave a checkpoint the next attempt extends.
     // Every @N trigger deactivates after firing, so the sequence is
     // guaranteed to run out of faults.
-    const std::string chaos_dir =
-        scratch_dir("chaos_" + std::to_string(seed));
-    config.checkpoint_dir = chaos_dir;
+    const ScratchDir chaos_dir("chaos_" + std::to_string(seed));
+    config.checkpoint_dir = chaos_dir.path();
     util::FailpointRegistry::configure(schedule_for_seed(seed), seed);
 
     PipelineResult converged;
@@ -186,8 +206,8 @@ TEST_P(ChaosSchedule, ConvergesToFaultFreeArtifacts)
     // And the persisted artifacts are bit-identical to the fault-free
     // run's. A final fault-free pass reuses them untouched.
     util::FailpointRegistry::clear();
-    const CheckpointManager reference_manager(reference_dir);
-    const CheckpointManager chaos_manager(chaos_dir);
+    const CheckpointManager reference_manager(reference_dir.path());
+    const CheckpointManager chaos_manager(chaos_dir.path());
     EXPECT_EQ(file_bytes(chaos_manager.corpus_path()),
               file_bytes(reference_manager.corpus_path()));
     EXPECT_EQ(file_bytes(chaos_manager.embedding_path()),
@@ -200,11 +220,9 @@ TEST_P(ChaosSchedule, ConvergesToFaultFreeArtifacts)
 
     // Quarantined corrupt artifacts are renamed aside, never deleted —
     // and nothing else may linger once they are swept.
-    EXPECT_LE(count_quarantined(chaos_dir), quarantined + 1u);
-    remove_quarantined(chaos_dir);
-    EXPECT_EQ(count_quarantined(chaos_dir), 0u);
-    std::filesystem::remove_all(reference_dir);
-    std::filesystem::remove_all(chaos_dir);
+    EXPECT_LE(count_quarantined(chaos_dir.path()), quarantined + 1u);
+    remove_quarantined(chaos_dir.path());
+    EXPECT_EQ(count_quarantined(chaos_dir.path()), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(FixedSeeds, ChaosSchedule,
@@ -212,10 +230,10 @@ INSTANTIATE_TEST_SUITE_P(FixedSeeds, ChaosSchedule,
 
 TEST_F(ChaosTest, TransientWriteFaultAbsorbedByRetry)
 {
-    const std::string dir = scratch_dir("transient_write");
+    const ScratchDir dir("transient_write");
     const graph::EdgeList edges = test_edges();
     PipelineConfig config = test_config();
-    config.checkpoint_dir = dir;
+    config.checkpoint_dir = dir.path();
 
     util::FailpointRegistry::configure(
         "artifact_io.write=error:transient@1");
@@ -227,15 +245,14 @@ TEST_F(ChaosTest, TransientWriteFaultAbsorbedByRetry)
     EXPECT_EQ(util::FailpointRegistry::hits("artifact_io.write"), 1u);
     EXPECT_TRUE(result.checkpoints.corpus_stored);
     EXPECT_EQ(result.checkpoints.artifacts_quarantined, 0u);
-    std::filesystem::remove_all(dir);
 }
 
 TEST_F(ChaosTest, CorruptCheckpointQuarantinedAndRegenerated)
 {
-    const std::string dir = scratch_dir("quarantine");
+    const ScratchDir dir("quarantine");
     const graph::EdgeList edges = test_edges();
     PipelineConfig config = test_config();
-    config.checkpoint_dir = dir;
+    config.checkpoint_dir = dir.path();
 
     const PipelineResult first =
         run_link_prediction_pipeline(edges, config);
@@ -255,7 +272,7 @@ TEST_F(ChaosTest, CorruptCheckpointQuarantinedAndRegenerated)
     EXPECT_TRUE(healed.checkpoints.corpus_stored);
     EXPECT_DOUBLE_EQ(healed.task.test_accuracy,
                      first.task.test_accuracy);
-    EXPECT_GE(count_quarantined(dir),
+    EXPECT_GE(count_quarantined(dir.path()),
               healed.checkpoints.artifacts_quarantined);
 
     // With the fault gone the regenerated artifacts load cleanly (the
@@ -265,15 +282,14 @@ TEST_F(ChaosTest, CorruptCheckpointQuarantinedAndRegenerated)
     EXPECT_TRUE(after.checkpoints.embedding_loaded);
     EXPECT_TRUE(after.checkpoints.classifier_loaded);
     EXPECT_EQ(after.checkpoints.artifacts_quarantined, 0u);
-    std::filesystem::remove_all(dir);
 }
 
 TEST_F(ChaosTest, CancellationStopsAtPhaseBoundaryWithCheckpoints)
 {
-    const std::string dir = scratch_dir("cancel");
+    const ScratchDir dir("cancel");
     const graph::EdgeList edges = test_edges();
     PipelineConfig config = test_config();
-    config.checkpoint_dir = dir;
+    config.checkpoint_dir = dir.path();
 
     // A pending request (what a SIGINT handler records) stops the run
     // at the first safe point as Cancelled, not as a generic Error.
@@ -287,7 +303,6 @@ TEST_F(ChaosTest, CancellationStopsAtPhaseBoundaryWithCheckpoints)
     const PipelineResult resumed =
         run_link_prediction_pipeline(edges, config);
     EXPECT_TRUE(resumed.checkpoints.classifier_stored);
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace
